@@ -11,7 +11,9 @@ operations, outside the timed span.  Every output is checked; the last line
 of stdout is one JSON object with ``correct``, ``attempted``, ``failed`` and
 ``metrics``.
 
-With ``--trace 0`` the metrics are end to end.  With ``--trace 1``
+With ``--trace 0`` the metrics are end to end, and every time in them is
+scaled to a reference machine speed by a speed probe (see speed.py) run
+between operations.  With ``--trace 1``
 untraced and traced operations alternate, and the metrics are per layer
 (see spans.py), per traced operation.  ``--smoke`` runs one small operation
 of each workload, untraced and traced, with every check on.  See README.md.
@@ -31,11 +33,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+from speed import REFERENCE_PROBE_S, speed_probe_s
+
 ROOT = Path(__file__).resolve().parent.parent
 WORKDIR = ROOT / "bench" / "out"
 MIN_OPS = 40  # enough for a 75th percentile with ten samples above it
 MAX_LOOP_S = 120.0  # stop adding operations past this, whatever MIN_OPS says
-SETUP_REPEATS = 5
+SETUP_REPEATS = 9
 STARTUP_PROBES = 5
 
 
@@ -52,19 +56,23 @@ def _import_program() -> None:
 def _loop(workload, seconds: float, min_ops: int, errors: list[str], tracer=None):
     """Timed operations for ``seconds`` and at least ``min_ops``.
 
-    Returns the untraced latencies, the traced ones and the failure count.
-    With a tracer, untraced and traced operations alternate, so that a drift
-    in machine speed affects both alike.
+    Returns the untraced latencies, the traced ones, the failure count and
+    the speed scale of each untraced operation: the reference probe time
+    over the mean of the probes run just before and just after it.  With a
+    tracer, untraced and traced operations alternate, so that a drift in
+    machine speed affects both alike.
     """
     untraced: list[float] = []
     traced: list[float] = []
+    scales: list[float] = []
     failed = 0
+    probe = speed_probe_s()
     start = perf_counter()
     while True:
         elapsed = perf_counter() - start
         done = len(untraced) + len(traced) + failed
         if elapsed >= seconds and (done >= min_ops or elapsed >= MAX_LOOP_S):
-            return untraced, traced, failed
+            return untraced, traced, failed, scales
         tracing = tracer is not None and done % 2 == 1
         gc.collect()
         if tracing:
@@ -82,8 +90,15 @@ def _loop(workload, seconds: float, min_ops: int, errors: list[str], tracer=None
             if tracing:
                 tracer.uninstall()
                 workload.tracer = None
-        (traced if tracing else untraced).append(latency)
         workload.check(out)
+        del out
+        gc.collect()
+        before, probe = probe, speed_probe_s()
+        if tracing:
+            traced.append(latency)
+        else:
+            untraced.append(latency)
+            scales.append(REFERENCE_PROBE_S / ((before + probe) / 2))
 
 
 def _peak_rss_mb(workload) -> float:
@@ -93,11 +108,27 @@ def _peak_rss_mb(workload) -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def _setup_probe_s(name: str, seed: int, smoke: bool) -> float:
-    """Set-up time of a fresh interpreter: import vrsp, then build, validate and write the inputs."""
+def _setup_s(name: str, seed: int, smoke: bool) -> float:
+    """Median scaled set-up time of fresh interpreters: import vrsp, then build, validate and write the inputs.
+
+    Each process is a fresh start, so the import counts every time; the
+    median of several keeps one slow start from moving the figure.  A first,
+    discarded process writes the bytecode caches the others read.  Each time
+    is scaled by the speed probes run just before and just after it.
+    """
+    from workloads import program_env
+
     cmd = [sys.executable, __file__, "--setup-probe", "--workload", name, "--seed", str(seed)]
-    probe = subprocess.run(cmd + (["--smoke"] if smoke else []), stdout=subprocess.PIPE, check=True, text=True)
-    return float(probe.stdout)
+    cmd += ["--smoke"] if smoke else []
+    env = program_env(ROOT)
+    subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL, check=True)
+    times = []
+    probe = speed_probe_s()
+    for _ in range(SETUP_REPEATS):
+        out = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, check=True, text=True).stdout
+        before, probe = probe, speed_probe_s()
+        times.append(float(out) * REFERENCE_PROBE_S / ((before + probe) / 2))
+    return statistics.median(times)
 
 
 def _cli_startup_s(env: dict) -> float:
@@ -144,21 +175,19 @@ def run(name: str, seed: int, seconds: float, trace: bool, smoke: bool = False) 
     from spans import Tracer
     from workloads import WORKLOADS
 
-    # Each probe is a fresh process, so the import counts every time; the
-    # median of several keeps one slow start from moving the figure.
     if not trace:
-        setup_s = statistics.median(_setup_probe_s(name, seed, smoke) for _ in range(SETUP_REPEATS))
+        setup_s = _setup_s(name, seed, smoke)
     WORKDIR.mkdir(parents=True, exist_ok=True)
     workload = WORKLOADS[name](ROOT, WORKDIR, seed, smoke)
     workload.setup()
 
     errors: list[str] = []
-    correct, untraced, traced, failed = True, [], [], 0
+    correct, untraced, traced, failed, scales = True, [], [], 0, []
     tracer = Tracer() if trace else None
     try:
         workload.prepare()
         workload.check(workload.operation())  # warm-up, not timed
-        untraced, traced, failed = _loop(workload, seconds, 2 if smoke else MIN_OPS, errors, tracer)
+        untraced, traced, failed, scales = _loop(workload, seconds, 2 if smoke else MIN_OPS, errors, tracer)
     except CheckFailed as e:
         correct = False
         errors.append(f"check failed: {e}")
@@ -176,6 +205,11 @@ def run(name: str, seed: int, seconds: float, trace: bool, smoke: bool = False) 
             if value and not smoke:
                 print(f"{name}: {metric:<48} {value:.6g}", file=sys.stderr)
     else:
+        raw = latencies
+        latencies = [t * k for t, k in zip(raw, scales)]
+        if not smoke:
+            print(f"{name}: {len(raw)} operations; unscaled latency p50 {statistics.median(raw):.6g} s;"
+                  f" median speed scale {statistics.median(scales):.4f}", file=sys.stderr)
         values = {
             "ops_per_s": len(latencies) / sum(latencies),
             "latency_p50_s": statistics.median(latencies),
