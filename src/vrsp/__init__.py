@@ -12,7 +12,8 @@ and provides the operations to compose and decompose them:
 - :mod:`vrsp.isomorphism` — label-preserving multigraph isomorphism, with a
   brute-force oracle for small instances;
 - :mod:`vrsp.decomposition` — verification of Cartesian decomposition
-  hypotheses and exhaustive search over label bipartitions;
+  hypotheses and a search over the label bipartitions that keep each
+  square-property label class on one side;
 - :mod:`vrsp.serialization` / :mod:`vrsp.cli` — JSON and DOT formats and the
   ``vrsp`` command-line tool;
 - :mod:`vrsp.fixtures` — small bundled example graphs.
@@ -22,6 +23,7 @@ from .decomposition import (
     Decomposition,
     DecompositionReport,
     find_decompositions,
+    label_classes,
     layers_from_label_split,
     prime_factors,
     verify_decomposition,
@@ -92,6 +94,7 @@ __all__ = [
     "intermediate",
     "is_isomorphism",
     "is_weakly_connected",
+    "label_classes",
     "label_set",
     "layers_from_label_split",
     "level",

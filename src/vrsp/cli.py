@@ -161,7 +161,10 @@ def _run(args: argparse.Namespace) -> int:
 
         result = {"count": len(found), "decompositions": entries}
         if args.recursive:
-            primes = prime_factors(g, max_labels=args.max_labels)
+            # The search on g has run already; only its factors are left to split.
+            primes = [g]
+            if found:
+                primes = [p for f in found[0].factors for p in prime_factors(f, args.max_labels)]
             result["prime_factors"] = [graph_to_document(f) for f in primes]
             if out_dir is not None:
                 files = []

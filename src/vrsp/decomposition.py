@@ -11,7 +11,12 @@ two quotients.
 The search enumerates candidate families from label bipartitions: for any
 valid decomposition the two sides cannot share a label, so each side of a
 bipartition induces a spanning subgraph whose weak components are exactly
-the candidate layers.
+the candidate layers.  Only bipartitions that respect the square property
+are tried: in a Cartesian product, two arcs from different factors that
+meet at a vertex span a square whose opposite sides carry equal labels, so
+two labels that meet without such a square lie on the same side.
+:func:`label_classes` groups the labels accordingly, and every candidate
+side is a union of those classes.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ __all__ = [
     "Decomposition",
     "verify_decomposition",
     "layers_from_label_split",
+    "label_classes",
     "find_decompositions",
     "prime_factors",
 ]
@@ -148,14 +154,22 @@ def verify_decomposition(
     Contraction failures (a family set whose contraction would create a
     cycle) are reported as C6 failures, not raised.
     """
-    g.check()
-    if not g.vertices or not is_weakly_connected(g):
-        raise NotConnectedError("decomposition needs a non-empty weakly connected graph")
+    _check_graph(g)
     rows = rows if isinstance(rows, VertexFamily) else VertexFamily.of(rows)
     cols = cols if isinstance(cols, VertexFamily) else VertexFamily.of(cols)
     rows.check_against(g)
     cols.check_against(g)
+    return _verify(g, rows, cols)
 
+
+def _check_graph(g: Graph) -> None:
+    g.check()
+    if not g.vertices or not is_weakly_connected(g):
+        raise NotConnectedError("decomposition needs a non-empty weakly connected graph")
+
+
+def _verify(g: Graph, rows: VertexFamily, cols: VertexFamily) -> DecompositionReport:
+    """:func:`verify_decomposition` on a graph and families already checked against it."""
     row_subs = [induced_subgraph(g, s) for s in rows.sets]
     col_subs = [induced_subgraph(g, s) for s in cols.sets]
     conditions: dict[str, ConditionResult] = {}
@@ -273,34 +287,98 @@ def _resolve_label_budget(max_labels: int | None) -> int:
         raise GraphError(f"{LABEL_BUDGET_ENV} must be an integer, got {raw!r}") from None
 
 
+def label_classes(g: Graph) -> list[tuple[LabelPair, ...]]:
+    """Group the labels of ``g`` that every accepted bipartition keeps on one side.
+
+    Two arcs with labels a != b that meet at a vertex v are united unless
+    some vertex y != v closes a square with them whose opposite sides carry
+    the same labels; parallel arcs with different labels are always united.
+    In a Cartesian product every pair of arcs from different factors that
+    meet at a vertex has such a square, and parallel arcs come from one
+    factor, so each side of an accepted bipartition is a union of classes.
+    Classes are returned sorted, each sorted.
+    """
+    # Labels are numbered in one pass, since hashing a LabelPair hashes its
+    # Fraction weight.  out_nb[v][a] / in_nb[v][a]: heads / tails of the
+    # arcs labelled a at v.
+    number: dict[LabelPair, int] = {}
+    out_nb: dict[str, dict[int, set[str]]] = {v: {} for v in g.vertices}
+    in_nb: dict[str, dict[int, set[str]]] = {v: {} for v in g.vertices}
+    for arc in g.arcs:
+        a = number.setdefault(arc.label, len(number))
+        out_nb[arc.tail].setdefault(a, set()).add(arc.head)
+        in_nb[arc.head].setdefault(a, set()).add(arc.tail)
+    empty: frozenset[str] = frozenset()
+    parent = list(range(len(number)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def squared(v: str, a: int, ws, w_side, b: int, zs, z_side) -> bool:
+        # The arcs labelled a at v reach ws, those labelled b reach zs.  Each
+        # w, z needs a b-arc at w and an a-arc at z, on the sides w_side and
+        # z_side say, that meet at some vertex y != v.
+        for w in ws:
+            for z in zs:
+                if w == z:
+                    return False
+                common = w_side[w].get(b, empty) & z_side[z].get(a, empty)
+                if len(common) <= (v in common):
+                    return False
+        return True
+
+    for v in g.vertices:
+        outs, ins = list(out_nb[v].items()), list(in_nb[v].items())
+        # in/out: w -> v (a), v -> z (b); the square is w -> y (b), y -> z (a).
+        for a, ws in ins:
+            for b, zs in outs:
+                if find(a) != find(b) and not squared(v, a, ws, out_nb, b, zs, in_nb):
+                    parent[find(a)] = find(b)
+        # out/out: v -> w (a), v -> z (b); the square is w -> y (b), z -> y (a).
+        # in/in: w -> v (a), z -> v (b); the square is y -> w (b), y -> z (a).
+        for side, near in ((out_nb, outs), (in_nb, ins)):
+            for i, (a, ws) in enumerate(near):
+                for b, zs in near[i + 1 :]:
+                    if find(a) != find(b) and not squared(v, a, ws, side, b, zs, side):
+                        parent[find(a)] = find(b)
+
+    classes: dict[int, list[LabelPair]] = {}
+    for l, i in number.items():
+        classes.setdefault(find(i), []).append(l)
+    return sorted(tuple(sorted(c)) for c in classes.values())
+
+
 def find_decompositions(g: Graph, max_labels: int | None = None) -> list[Decomposition]:
     """All accepted label bipartitions of ``g``, in sorted left-side order.
 
-    Unordered bipartitions are enumerated once each, canonicalised so the
-    left side contains the smallest label; there are 2^(|L|-1) - 1 of them.
-    Raises ``LabelBudgetError`` when the graph carries more distinct labels
-    than the budget (``max_labels`` argument, else the VRSP_MAX_LABELS
-    environment variable, else 20).
+    Candidate sides are unions of :func:`label_classes`, canonicalised so
+    the left side holds the class of the smallest label; for k classes
+    there are 2^(k-1) - 1 of them, and no bipartition outside them can be
+    accepted.  Raises ``LabelBudgetError`` when the graph carries more
+    distinct labels than the budget (``max_labels`` argument, else the
+    VRSP_MAX_LABELS environment variable, else 20).
     """
-    g.check()
-    if not g.vertices or not is_weakly_connected(g):
-        raise NotConnectedError("decomposition needs a non-empty weakly connected graph")
+    _check_graph(g)
     budget = _resolve_label_budget(max_labels)
-    labels = sorted(label_set(g))
-    if len(labels) > budget:
-        raise LabelBudgetError(f"graph has {len(labels)} labels, budget is {budget}")
+    classes = label_classes(g)
+    count = sum(map(len, classes))
+    if count > budget:
+        raise LabelBudgetError(f"graph has {count} labels, budget is {budget}")
 
-    pivot, rest = labels[:1], labels[1:]
+    pivot, rest = classes[:1], classes[1:]
     candidates = []
     for mask in range((1 << len(rest)) - 1):  # full mask would leave the right side empty
-        left = tuple(sorted(pivot + [l for k, l in enumerate(rest) if mask >> k & 1]))
-        candidates.append(left)
+        chosen = pivot + [c for k, c in enumerate(rest) if mask >> k & 1]
+        candidates.append(tuple(sorted(l for c in chosen for l in c)))
     candidates.sort()
 
     results: list[Decomposition] = []
     for left in candidates:
         rows, cols = layers_from_label_split(g, left)
-        report = verify_decomposition(g, rows, cols)
+        report = _verify(g, rows, cols)
         if report.accepted:
             assert report.factors is not None
             results.append(Decomposition(left, report.factors, report))

@@ -123,22 +123,29 @@ def find_isomorphism(g1: Graph, g2: Graph) -> dict[str, str] | None:
                 return False
         return True
 
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
+    # Depth-first search with an explicit stack, so that graph size is not
+    # bounded by the recursion limit: next_try[i] is the position in
+    # order[i]'s candidate list to resume from when the search returns there.
+    next_try = [0] * len(order)
+    i = 0
+    while 0 <= i < len(order):
         u = order[i]
-        for w in candidates[u]:
-            if w in used or not consistent(u, w):
-                continue
-            assigned[u] = w
-            used.add(w)
-            if extend(i + 1):
-                return True
-            del assigned[u]
-            used.remove(w)
-        return False
+        if u in assigned:  # back from a dead end below: undo this level's choice
+            used.remove(assigned.pop(u))
+        cands = candidates[u]
+        j = next_try[i]
+        while j < len(cands) and (cands[j] in used or not consistent(u, cands[j])):
+            j += 1
+        if j == len(cands):
+            next_try[i] = 0
+            i -= 1
+            continue
+        assigned[u] = cands[j]
+        used.add(cands[j])
+        next_try[i] = j + 1
+        i += 1
 
-    if not extend(0):
+    if i < 0:
         return None
     assert is_isomorphism(g1, g2, assigned)
     return dict(assigned)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 
 from .errors import GraphFormatError, InvalidGraphError
@@ -102,6 +103,9 @@ def document_to_graph(doc: object, *, check: bool = True) -> Graph:
     vertices = _expect(doc.get("vertices"), list, "'vertices'")
     for v in vertices:
         _expect(v, str, "vertex id")
+    repeated = sorted(v for v, n in Counter(vertices).items() if n > 1)
+    if repeated:
+        raise GraphFormatError(f"repeated vertex ids: {', '.join(repr(v) for v in repeated)}")
     raw_arcs = _expect(doc.get("arcs"), list, "'arcs'")
 
     arcs = []

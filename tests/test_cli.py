@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 
+from vrsp import cli, decomposition
 from vrsp.cli import main
+from vrsp.decomposition import find_decompositions, prime_factors
 from vrsp.fixtures import fixture_path
-from vrsp.serialization import parse_graph
+from vrsp.serialization import graph_to_document, parse_graph
 
 
 def fx(name: str) -> str:
@@ -159,6 +161,25 @@ class TestDecompose:
                 parse_graph(open(file).read())
         assert len(payload["prime_factor_files"]) == 2
 
+    def test_recursive_searches_the_input_once(self, capsys, monkeypatch, fig1):
+        code, plain, _ = run(capsys, "decompose", fx("fig1.json"))
+        assert code == 0
+        expected = json.loads(plain)
+        expected["prime_factors"] = [graph_to_document(f) for f in prime_factors(fig1)]
+
+        searched = []
+
+        def counting(graph, *args, **kwargs):
+            searched.append(graph)
+            return find_decompositions(graph, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "find_decompositions", counting)
+        monkeypatch.setattr(decomposition, "find_decompositions", counting)
+        code, out, _ = run(capsys, "decompose", fx("fig1.json"), "--recursive")
+        assert code == 0
+        assert out == json.dumps(expected, indent=2) + "\n"
+        assert sum(graph == fig1 for graph in searched) == 1
+
     def test_max_labels_flag(self, capsys):
         code, _, err = run(capsys, "decompose", fx("fig1.json"), "--max-labels", "2")
         assert code == 2 and "label" in err.lower()
@@ -181,6 +202,12 @@ class TestRobustness:
         path.write_text('{"vertices": ["u", "v"], "arcs": []}')
         code, _, err = run(capsys, "decompose", str(path))
         assert code == 2 and "connected" in err
+
+    def test_repeated_vertex_id_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "twice.json"
+        path.write_text('{"vertices": ["u", "u", "v"], "arcs": []}')
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 2 and "'u'" in err
 
     def test_no_command_is_usage_error(self, capsys):
         code, _, _ = run(capsys, )

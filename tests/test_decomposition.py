@@ -5,19 +5,21 @@ from __future__ import annotations
 import random
 
 import pytest
-from conftest import L, mk, path_graph, random_factor
+from conftest import L, mk, path_graph, random_dag, random_factor
 
+from vrsp import decomposition
 from vrsp.decomposition import (
     find_decompositions,
+    label_classes,
     layers_from_label_split,
     prime_factors,
     verify_decomposition,
 )
 from vrsp.errors import DegenerateSplitError, LabelBudgetError, NotConnectedError
 from vrsp.fixtures import load_family
-from vrsp.graph import build_graph, label_set
+from vrsp.graph import build_graph, is_weakly_connected, label_set
 from vrsp.isomorphism import find_isomorphism
-from vrsp.products import cartesian
+from vrsp.products import cartesian, vrsp
 
 
 class TestVerify:
@@ -90,7 +92,85 @@ class TestLayersFromLabelSplit:
             assert fam.union() == fig1.vertex_set
 
 
+class TestLabelClasses:
+    def test_two_label_grid(self):
+        g = cartesian(path_graph(["a"] * 3, "y"), path_graph(["b"] * 3, "x"))
+        assert label_classes(g) == [(L("a"),), (L("b"),)]
+
+    def test_path_product_gives_its_generating_sets(self):
+        g = cartesian(path_graph(["a", "c", "a", "b"], "y"), path_graph(["d", "e", "f", "d"], "x"))
+        assert label_classes(g) == [(L("a"), L("b"), L("c")), (L("d"), L("e"), L("f"))]
+
+    def test_parallel_arcs_are_united(self):
+        parallel = mk("u v", [("e1", "u", "v", "a"), ("e2", "u", "v", "b")])
+        g = cartesian(parallel, path_graph(["c", "c"], "x"))
+        assert label_classes(g) == [(L("a"), L("b")), (L("c"),)]
+
+    def test_prime_order_dag_is_one_class(self):
+        g = mk(
+            "v0 v1 v2 v3 v4",
+            [
+                ("e1", "v0", "v1", "a"),
+                ("e2", "v0", "v2", "b"),
+                ("e3", "v1", "v3", "c"),
+                ("e4", "v2", "v3", "a"),
+                ("e5", "v3", "v4", "b"),
+                ("e6", "v1", "v4", "c"),
+            ],
+        )
+        assert label_classes(g) == [(L("a"), L("b"), L("c"))]
+
+    def test_fixtures(self, fig1, fig3):
+        assert label_classes(fig1) == [(L("a"),), (L("b"), L("c"))]
+        assert label_classes(fig3) == [(L("a"), L("b"), L("c"))]
+
+
+def exhaustive_decompositions(g):
+    """The search over every label bipartition, as the reference for the class-based one."""
+    labels = sorted(label_set(g))
+    pivot, rest = labels[:1], labels[1:]
+    found = []
+    for mask in range((1 << len(rest)) - 1):
+        left = tuple(sorted(pivot + [l for k, l in enumerate(rest) if mask >> k & 1]))
+        report = verify_decomposition(g, *layers_from_label_split(g, left))
+        if report.accepted:
+            found.append((left, report.factors))
+    return sorted(found, key=lambda item: item[0])
+
+
 class TestFindDecompositions:
+    def test_matches_exhaustive_search(self):
+        rng = random.Random(97)
+        graphs = []
+        for _ in range(20):
+            graphs.append(random_dag(rng, 7, 12, "pqrs", connected=True, weights=(1, 2)))
+            graphs.append(cartesian(random_factor(rng, "pqrs", prefix="l"), random_factor(rng, "wxyz", prefix="r")))
+            graphs.append(vrsp(random_factor(rng, "pqrs", prefix="l"), random_factor(rng, "rstu", prefix="r")))
+            graphs.append(
+                cartesian(
+                    cartesian(random_factor(rng, "pq", 3, prefix="a"), random_factor(rng, "rs", 3, prefix="b")),
+                    random_factor(rng, "tu", 3, prefix="c"),
+                )
+            )
+        decomposable = 0
+        for g in graphs:
+            assert len(label_set(g)) <= 8
+            expected = exhaustive_decompositions(g)
+            assert [(d.left_labels, d.factors) for d in find_decompositions(g)] == expected
+            decomposable += bool(expected)
+        assert decomposable >= len(graphs) // 3
+
+    def test_validates_the_graph_once(self, fig1, monkeypatch):
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return is_weakly_connected(g)
+
+        monkeypatch.setattr(decomposition, "is_weakly_connected", counting)
+        assert len(find_decompositions(fig1)) == 1
+        assert len(calls) == 1
+
     def test_fig1_has_exactly_one(self, fig1):
         found = find_decompositions(fig1)
         assert len(found) == 1

@@ -52,6 +52,13 @@ class TestFindIsomorphism:
             mapping = find_isomorphism(g, h)
             assert mapping is not None and is_isomorphism(g, h, mapping)
 
+    def test_large_grid_does_not_exhaust_the_stack(self):
+        # One search level per vertex: 1600 levels is past the default recursion limit.
+        g = cartesian(path_graph(["a"] * 39, "y"), path_graph(["b"] * 39, "x"))
+        h = rename_graph(random.Random(59), g)
+        mapping = find_isomorphism(g, h)
+        assert mapping is not None and is_isomorphism(g, h, mapping)
+
     def test_equivalence_relation(self):
         rng = random.Random(67)
         for _ in range(20):

@@ -91,6 +91,11 @@ class TestParseErrors:
         with pytest.raises(GraphFormatError, match="UTF-8"):
             parse_graph(b"\xff\xfe{}")
 
+    @pytest.mark.parametrize("check", [True, False])
+    def test_repeated_vertex_id_named(self, check):
+        with pytest.raises(GraphFormatError, match="repeated vertex ids: 'u'"):
+            parse_graph('{"vertices": ["u", "u", "v"], "arcs": []}', check=check)
+
 
 class TestFamilies:
     def test_round_trip(self):
