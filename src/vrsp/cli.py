@@ -3,7 +3,8 @@
 Subcommands: validate, product, contract, iso, verify, decompose, dot.
 Exit codes: 0 for success or an accepting verdict, 1 for a negative verdict
 (invalid graph, not isomorphic, rejected or absent decomposition), 2 for
-unusable input (bad arguments, unreadable files, malformed documents).
+unusable input (bad arguments, unreadable files, malformed documents), 3 for
+an internal error (a bug in this program, not a fault of the input).
 """
 
 from __future__ import annotations
@@ -191,12 +192,12 @@ def main(argv: list[str] | None = None) -> int:
         return int(e.code or 0)
     try:
         return _run(args)
-    except GraphError as e:
+    except (GraphError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except Exception as e:  # the CLI must never crash on bad input
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
+    except Exception as e:  # a bug, not bad input: report it apart from exit 2
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ does not enforce invariants.  Use :func:`validate` to obtain diagnostics, or
 from __future__ import annotations
 
 import heapq
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -100,7 +100,7 @@ class Graph:
     name: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(sorted(set(self.vertices))))
+        object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))
         object.__setattr__(self, "arcs", tuple(sorted(self.arcs, key=lambda a: (a.id, a.tail, a.head, a.label))))
 
     @cached_property
@@ -157,17 +157,18 @@ def build_graph(vertices: Iterable[str], arcs: Iterable[Arc], name: str = "") ->
 def validate(g: Graph) -> list[Diagnostic]:
     """Check every structural invariant, returning one diagnostic per violation.
 
-    Reported violations: duplicate arc ids, arcs whose tail or head is not a
-    vertex of the graph, self-loops, and directed cycles (with one witness
-    cycle spelled out).  An empty list means the graph is valid.
+    Reported violations: duplicate vertex ids, duplicate arc ids, arcs whose
+    tail or head is not a vertex of the graph, self-loops, and directed
+    cycles (with one witness cycle spelled out).  An empty list means the
+    graph is valid.
     """
     diags: list[Diagnostic] = []
     vset = g.vertex_set
 
-    id_counts = Counter(a.id for a in g.arcs)
-    for arc_id, n in sorted(id_counts.items()):
-        if n > 1:
-            diags.append(Diagnostic("duplicate-arc-id", f"arc id {arc_id!r} occurs {n} times", (arc_id,)))
+    for kind, ids in (("vertex", g.vertices), ("arc", [a.id for a in g.arcs])):
+        for dup, n in sorted(Counter(ids).items()):
+            if n > 1:
+                diags.append(Diagnostic(f"duplicate-{kind}-id", f"{kind} id {dup!r} occurs {n} times", (dup,)))
 
     sound_arcs: list[Arc] = []
     for a in g.arcs:
@@ -189,39 +190,51 @@ def validate(g: Graph) -> list[Diagnostic]:
     return diags
 
 
-def _find_cycle(vertices: frozenset[str], arcs: list[Arc]) -> list[str] | None:
-    """Return the vertices of one directed cycle, or None if acyclic."""
+def _kahn(vertices: Iterable[str], arcs: Iterable[Arc]) -> tuple[list[str], dict[str, list[str]], dict[str, int]]:
+    """Kahn's algorithm, smallest ready id first: (order, successors, leftover in-degrees).
+
+    Every arc must join two of ``vertices``.  The order covers them all iff
+    the arcs are acyclic; whatever the queue order, the vertices left with a
+    positive in-degree are those on a cycle or downstream of one.
+    """
     succ: dict[str, list[str]] = {v: [] for v in vertices}
-    indeg: dict[str, int] = {v: 0 for v in vertices}
+    indeg = dict.fromkeys(succ, 0)
     for a in arcs:
         succ[a.tail].append(a.head)
         indeg[a.head] += 1
 
-    queue = deque(v for v in sorted(vertices) if indeg[v] == 0)
-    seen = 0
-    while queue:
-        v = queue.popleft()
-        seen += 1
+    ready = [v for v, n in indeg.items() if n == 0]
+    heapq.heapify(ready)
+    order: list[str] = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
         for w in succ[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
-                queue.append(w)
-    if seen == len(vertices):
+                heapq.heappush(ready, w)
+    return order, succ, indeg
+
+
+def _find_cycle(vertices: Iterable[str], arcs: Iterable[Arc]) -> list[str] | None:
+    """Return the vertices of one directed cycle, or None if acyclic."""
+    order, succ, indeg = _kahn(vertices, arcs)
+    if len(order) == len(succ):
         return None
 
     # Vertices left over after Kahn's algorithm lie on a cycle or downstream
     # of one; trimming those without a surviving successor leaves only cycle
     # vertices, where walking successors must revisit a vertex.
-    remnant = {v for v in vertices if indeg[v] > 0}
+    remnant = {v for v, n in indeg.items() if n > 0}
     outdeg = {v: sum(w in remnant for w in succ[v]) for v in remnant}
-    trim = deque(v for v in remnant if outdeg[v] == 0)
+    trim = [v for v in remnant if outdeg[v] == 0]
     pred: dict[str, list[str]] = {v: [] for v in remnant}
     for v in remnant:
         for w in succ[v]:
             if w in remnant:
                 pred[w].append(v)
     while trim:
-        v = trim.popleft()
+        v = trim.pop()
         remnant.discard(v)
         for u in pred[v]:
             if u in remnant:
@@ -241,18 +254,10 @@ def _find_cycle(vertices: frozenset[str], arcs: list[Arc]) -> list[str] | None:
 
 def topological_order(g: Graph) -> list[str]:
     """Vertices in a deterministic topological order (smallest id first among ready vertices)."""
-    indeg = {v: g.in_degree(v) for v in g.vertices}
-    ready = [v for v in g.vertices if indeg[v] == 0]
-    heapq.heapify(ready)
-    order: list[str] = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        for a in g.out_arcs(v):
-            indeg[a.head] -= 1
-            if indeg[a.head] == 0:
-                heapq.heappush(ready, a.head)
-    if len(order) != len(g.vertices):
+    vset = g.vertex_set
+    arcs = [a for a in g.arcs if a.tail in vset and a.head in vset]
+    order, _, _ = _kahn(vset, arcs)
+    if len(order) != len(g.vertices) or len(arcs) != len(g.arcs):
         raise InvalidGraphError(validate(g))
     return order
 
@@ -316,9 +321,9 @@ def weak_components(g: Graph) -> list[set[str]]:
         if start in seen:
             continue
         comp = {start}
-        frontier = deque([start])
+        frontier = [start]
         while frontier:
-            v = frontier.popleft()
+            v = frontier.pop()
             for w in neighbours[v]:
                 if w not in comp:
                     comp.add(w)

@@ -10,6 +10,11 @@ prunes states made unreachable by synchronisation: any vertex that has lost
 all incoming arcs relative to the Cartesian product is deleted together with
 its outgoing arcs, repeatedly, until a fixpoint.
 
+One builder makes the first two stages: the Cartesian product is the
+intermediate product with no synchronising label.  Each product validates
+its factors once, on entry; products of valid factors are valid by
+construction, so only clashes of the generated names are checked.
+
 Product vertices are named "(u,x)" after their coordinates; arc ids encode
 provenance ("L:"/"R:" copies with the coordinate they were copied at, "S:"
 diagonals with both source arc ids).
@@ -56,44 +61,13 @@ def pair_vertex(u: str, x: str) -> str:
 def _require_factors(g1: Graph, g2: Graph) -> None:
     if not g1.vertices or not g2.vertices:
         raise EmptyFactorError("product factors must have at least one vertex")
+    g1.check()
+    g2.check()
 
 
-def _pair_names(g1: Graph, g2: Graph) -> dict[tuple[str, str], str]:
+def _product(g1: Graph, g2: Graph, shared: set[LabelPair]) -> Graph:
+    """The intermediate product of two valid factors synchronising on ``shared``."""
     names = {(u, x): pair_vertex(u, x) for u in g1.vertices for x in g2.vertices}
-    if len(set(names.values())) != len(names):
-        raise GraphError("factor vertex ids collide under pair naming")
-    return names
-
-
-def cartesian(g1: Graph, g2: Graph) -> Graph:
-    """The Cartesian product: every factor arc copied once per opposite vertex."""
-    _require_factors(g1, g2)
-    names = _pair_names(g1, g2)
-    arcs = [
-        Arc(f"L:{a.id}@{x}", names[a.tail, x], names[a.head, x], a.label)
-        for a in g1.arcs
-        for x in g2.vertices
-    ]
-    arcs += [
-        Arc(f"R:{b.id}@{y}", names[y, b.tail], names[y, b.head], b.label)
-        for b in g2.arcs
-        for y in g1.vertices
-    ]
-    return Graph(tuple(names.values()), tuple(arcs)).check()
-
-
-def intermediate(g1: Graph, g2: Graph) -> Graph:
-    """The Cartesian product with synchronising arc pairs fused into diagonals.
-
-    Keeps every Cartesian copy whose label occurs in only one factor, drops
-    all copies of shared-label arcs, and adds one diagonal arc per pair of
-    equally-labelled factor arcs (so k parallel arcs against l produce k*l
-    diagonals).  The vertex set is exactly that of the Cartesian product.
-    """
-    _require_factors(g1, g2)
-    shared = label_set(g1) & label_set(g2)
-    names = _pair_names(g1, g2)
-
     arcs = [
         Arc(f"L:{a.id}@{x}", names[a.tail, x], names[a.head, x], a.label)
         for a in g1.arcs
@@ -117,7 +91,27 @@ def intermediate(g1: Graph, g2: Graph) -> Graph:
         for b in by_label[a.label]:
             arcs.append(Arc(f"S:{a.id}*{b.id}", names[a.tail, b.tail], names[a.head, b.head], a.label))
 
-    return Graph(tuple(names.values()), tuple(arcs)).check()
+    if len(set(names.values())) != len(names) or len({a.id for a in arcs}) != len(arcs):
+        raise GraphError("factor vertex or arc ids collide under pair naming")
+    return Graph(tuple(names.values()), tuple(arcs))
+
+
+def cartesian(g1: Graph, g2: Graph) -> Graph:
+    """The Cartesian product: every factor arc copied once per opposite vertex."""
+    _require_factors(g1, g2)
+    return _product(g1, g2, set())
+
+
+def intermediate(g1: Graph, g2: Graph) -> Graph:
+    """The Cartesian product with synchronising arc pairs fused into diagonals.
+
+    Keeps every Cartesian copy whose label occurs in only one factor, drops
+    all copies of shared-label arcs, and adds one diagonal arc per pair of
+    equally-labelled factor arcs (so k parallel arcs against l produce k*l
+    diagonals).  The vertex set is exactly that of the Cartesian product.
+    """
+    _require_factors(g1, g2)
+    return _product(g1, g2, label_set(g1) & label_set(g2))
 
 
 def vrsp(g1: Graph, g2: Graph, *, removal_rng: random.Random | None = None) -> Graph:
@@ -131,7 +125,7 @@ def vrsp(g1: Graph, g2: Graph, *, removal_rng: random.Random | None = None) -> G
     confirm that.
     """
     _require_factors(g1, g2)
-    inter = intermediate(g1, g2)
+    inter = _product(g1, g2, label_set(g1) & label_set(g2))
 
     # In-degree in the Cartesian product, taken per coordinate instead of
     # materialising the product itself.
@@ -158,4 +152,4 @@ def vrsp(g1: Graph, g2: Graph, *, removal_rng: random.Random | None = None) -> G
 
     vertices = tuple(v for v in inter.vertices if v not in removed)
     arcs = tuple(a for a in inter.arcs if a.tail not in removed)
-    return Graph(vertices, arcs).check()
+    return Graph(vertices, arcs)

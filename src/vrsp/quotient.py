@@ -1,4 +1,4 @@
-"""Vertex-set contraction and repeated contraction over disjoint families.
+"""Vertex-set contraction: the quotient by one set or by a disjoint family.
 
 Contracting a vertex set X replaces X by a single fresh vertex: arcs with
 both ends inside X are deleted, and every arc crossing the boundary is
@@ -6,8 +6,9 @@ redirected to the new vertex, keeping its label and its original id.
 Redirected arcs that coincide in (tail, head, label) collapse to a single
 arc; the one with the smallest original id survives.  That identification is
 what makes the quotient of a grid row look like a single path rather than a
-bundle of parallel copies, and it keeps repeated contraction independent of
-the order in which disjoint sets are contracted.
+bundle of parallel copies.  A family is contracted in one pass over the arcs
+with every set mapped to its fresh vertex at once; the result equals
+contracting the sets one at a time, in any order.
 """
 
 from __future__ import annotations
@@ -59,6 +60,34 @@ class VertexFamily:
         return self
 
 
+def _quotient(g: Graph, image: dict[str, str]) -> Graph:
+    """``g`` with each vertex in ``image`` replaced by its image, in one pass over the arcs.
+
+    Arcs with neither end in ``image`` are kept verbatim.  Raises
+    ``CycleCreatedError`` naming one cycle of the result.
+    """
+    kept: list[Arc] = []
+    redirected: dict[tuple[str, str, object], Arc] = {}
+    for a in g.arcs:
+        if a.tail not in image and a.head not in image:
+            kept.append(a)
+            continue
+        tail, head = image.get(a.tail, a.tail), image.get(a.head, a.head)
+        if tail == head:
+            continue
+        key = (tail, head, a.label)
+        old = redirected.get(key)
+        if old is None or a.id < old.id:
+            redirected[key] = Arc(a.id, tail, head, a.label)
+
+    vertices = g.vertex_set.difference(image).union(image.values())
+    arcs = kept + list(redirected.values())
+    cycle = _find_cycle(vertices, arcs)
+    if cycle is not None:
+        raise CycleCreatedError(cycle)
+    return Graph(tuple(vertices), tuple(arcs))
+
+
 def contract(g: Graph, x: Iterable[str], new_id: str) -> Graph:
     """Contract the vertex set ``x`` of ``g`` into the fresh vertex ``new_id``.
 
@@ -75,30 +104,9 @@ def contract(g: Graph, x: Iterable[str], new_id: str) -> Graph:
     unknown = xs - g.vertex_set
     if unknown:
         raise UnknownVertexError(f"unknown vertex ids {sorted(unknown)!r}")
-    survivors = g.vertex_set - xs
-    if new_id in survivors:
+    if new_id in g.vertex_set - xs:
         raise GraphError(f"replacement vertex id {new_id!r} already present in the graph")
-
-    kept: list[Arc] = []
-    redirected: dict[tuple[str, str, object], Arc] = {}
-    for a in g.arcs:
-        tail_in, head_in = a.tail in xs, a.head in xs
-        if tail_in and head_in:
-            continue
-        if not tail_in and not head_in:
-            kept.append(a)
-            continue
-        b = Arc(a.id, new_id if tail_in else a.tail, new_id if head_in else a.head, a.label)
-        key = (b.tail, b.head, b.label)
-        old = redirected.get(key)
-        if old is None or b.id < old.id:
-            redirected[key] = b
-
-    result = Graph(tuple(survivors | {new_id}), tuple(kept) + tuple(redirected.values()))
-    cycle = _find_cycle(result.vertex_set, list(result.arcs))
-    if cycle is not None:
-        raise CycleCreatedError(cycle)
-    return result
+    return _quotient(g, dict.fromkeys(xs, new_id))
 
 
 def contract_family(
@@ -108,37 +116,28 @@ def contract_family(
     *,
     rng: random.Random | None = None,
 ) -> Graph:
-    """Contract every set of a disjoint family, one after the other.
+    """Contract every set of a disjoint family, all in one pass.
 
     The fresh vertex for a set is ``id_prefix`` + its 1-based position in
     the canonical family order (sets sorted by smallest member), skipping
     ids the graph already uses, so the result does not depend on the order
-    in which the sets are listed or contracted.  ``rng``, when given,
-    shuffles the order of the individual contractions; it exists to let
-    tests exercise that independence.
+    in which the sets are listed.  The result equals contracting the sets
+    one at a time with :func:`contract`, in any order; a
+    ``CycleCreatedError`` names a cycle of the whole quotient.  ``rng`` is
+    accepted and has no effect: there is no contraction order left to vary.
     """
     if not isinstance(fam, VertexFamily):
         fam = VertexFamily.of(fam)
     fam.check_against(g)
 
     # Mint against all of V(g), skipping indices already taken, so the names
-    # are fresh and cannot depend on the contraction order.  Quotients of
-    # quotients therefore keep working even when the prefix repeats.
-    ordered = sorted(fam.sets, key=min)
-    minted: dict[frozenset[str], str] = {}
-    taken = set(g.vertex_set)
+    # are fresh.  Quotients of quotients therefore keep working even when the
+    # prefix repeats.
+    image: dict[str, str] = {}
     index = 1
-    for s in ordered:
-        while f"{id_prefix}{index}" in taken:
+    for s in sorted(fam.sets, key=min):
+        while f"{id_prefix}{index}" in g.vertex_set:
             index += 1
-        minted[s] = f"{id_prefix}{index}"
-        taken.add(minted[s])
+        image.update(dict.fromkeys(s, f"{id_prefix}{index}"))
         index += 1
-
-    steps = list(ordered)
-    if rng is not None:
-        rng.shuffle(steps)
-    out = g
-    for s in steps:
-        out = contract(out, s, minted[s])
-    return Graph(out.vertices, out.arcs)
+    return _quotient(g, image)

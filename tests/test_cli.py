@@ -209,6 +209,19 @@ class TestRobustness:
         code, _, err = run(capsys, "validate", str(path))
         assert code == 2 and "'u'" in err
 
+    def test_unwritable_output_is_input_error(self, capsys, tmp_path):
+        out_file = str(tmp_path / "missing" / "out.json")
+        code, _, err = run(capsys, "product", "--kind", "vrsp", fx("fig2_g1.json"), fx("fig2_g2.json"), "-o", out_file)
+        assert code == 2 and err.startswith("error: ")
+
+    def test_internal_error_exits_3(self, capsys, monkeypatch):
+        def broken(g1, g2):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "find_isomorphism", broken)
+        code, out, err = run(capsys, "iso", fx("fig1.json"), fx("fig1.json"))
+        assert code == 3 and out == "" and err == "internal error: RuntimeError: boom\n"
+
     def test_no_command_is_usage_error(self, capsys):
         code, _, _ = run(capsys, )
         assert code == 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
 
 import pytest
 from conftest import L, mk, path_graph, random_dag, random_factor
@@ -245,3 +246,13 @@ class TestPrimeFactors:
 
     def test_prime_graph_returns_itself(self, fig3):
         assert prime_factors(fig3) == [fig3]
+
+    def test_primes_recompose_to_the_graph(self):
+        rng = random.Random(83)
+        for k in range(88):
+            if k % 4 == 0:
+                g = random_dag(rng, 7, 12, "pqrs", connected=True)
+            else:
+                sides = (("pq", "a"), ("rs", "b"), ("tu", "c"))[: k % 4]
+                g = reduce(cartesian, [random_factor(rng, actions, 3, prefix) for actions, prefix in sides])
+            assert find_isomorphism(reduce(vrsp, prime_factors(g)), g) is not None

@@ -78,6 +78,16 @@ class TestValidate:
         codes = sorted(d.code for d in validate(g))
         assert codes == ["dangling-arc", "duplicate-arc-id", "self-loop"]
 
+    def test_repeated_vertex_id_is_diagnosed_not_merged(self):
+        g = Graph(("v", "u", "u"), (Arc("e1", "u", "v", L("a")),))
+        assert g.vertices == ("u", "u", "v")
+        # The cycle check runs on the vertex set, so the repeat is no false cycle.
+        assert [(d.code, d.subject) for d in validate(g)] == [("duplicate-vertex-id", ("u",))]
+
+    def test_build_graph_rejects_repeated_vertex_ids(self):
+        with pytest.raises(InvalidGraphError, match="duplicate-vertex-id"):
+            build_graph(["u", "u", "v"], [])
+
     def test_build_graph_raises_with_diagnostics(self):
         with pytest.raises(InvalidGraphError) as err:
             build_graph(["u"], [Arc("e1", "u", "missing", L("a"))])
@@ -109,6 +119,17 @@ class TestLevel:
     def test_unknown_vertex(self, fig1):
         with pytest.raises(UnknownVertexError):
             level(fig1, "nope")
+
+    def test_invalid_graph_is_reported_not_a_key_error(self):
+        cases = [
+            Graph(("u",), (Arc("e1", "u", "ghost", L("a")),)),
+            Graph(("u",), (Arc("e1", "ghost", "u", L("a")),)),
+            Graph(("u", "u", "v"), (Arc("e1", "u", "v", L("a")),)),
+            Graph(("u", "v"), (Arc("e1", "u", "v", L("a")), Arc("e2", "v", "u", L("a")))),
+        ]
+        for g in cases:
+            with pytest.raises(InvalidGraphError):
+                levels(g)
 
 
 class TestSources:

@@ -8,9 +8,9 @@ from collections import Counter
 import pytest
 from conftest import L, mk, random_dag
 
-from vrsp.errors import EmptyFactorError
+from vrsp.errors import EmptyFactorError, GraphError, InvalidGraphError
 from vrsp.fixtures import load_graph
-from vrsp.graph import Graph, label_set, sources, validate
+from vrsp.graph import Arc, Graph, label_set, sources, validate
 from vrsp.isomorphism import find_isomorphism
 from vrsp.products import arc_class, cartesian, intermediate, pair_vertex, synchronising_labels, vrsp
 
@@ -63,10 +63,12 @@ class TestCartesian:
             cartesian(fig1, Graph((), ()))
 
     def test_pair_name_collision_rejected(self):
-        from vrsp.errors import GraphError
-
         with pytest.raises(GraphError, match="collide"):
             cartesian(Graph(("a", "a,b"), ()), Graph(("b,c", "c"), ()))
+        # "L:" + "e@x" + "@y" and "L:" + "e" + "@x@y" name the same arc.
+        g1 = mk("u v", [("e@x", "u", "v", "a"), ("e", "u", "v", "a")])
+        with pytest.raises(GraphError, match="collide"):
+            cartesian(g1, Graph(("y", "x@y"), ()))
 
 
 class TestIntermediate:
@@ -167,3 +169,24 @@ class TestCommutativity:
             g2 = random_dag(rng, actions="qr", prefix="r", max_vertices=4, max_arcs=5)
             for op in (cartesian, intermediate, vrsp):
                 assert find_isomorphism(op(g1, g2), op(g2, g1)) is not None
+
+
+class TestFactorsAndOutput:
+    @pytest.mark.parametrize("op", [cartesian, intermediate, vrsp])
+    def test_invalid_factors_rejected(self, op):
+        cyclic = Graph(("u", "v"), (Arc("e1", "u", "v", L("a")), Arc("e2", "v", "u", L("a"))))
+        dangling = Graph(("u",), (Arc("e1", "u", "ghost", L("a")),))
+        arc = mk("x y", [("f1", "x", "y", "a")])
+        for bad in (cyclic, dangling):
+            with pytest.raises(InvalidGraphError):
+                op(bad, arc)
+            with pytest.raises(InvalidGraphError):
+                op(arc, bad)
+
+    def test_products_of_valid_factors_are_valid(self):
+        rng = random.Random(61)
+        for _ in range(60):
+            g1 = random_dag(rng, actions="pq", prefix="l", weights=(1, 2))
+            g2 = random_dag(rng, actions="pq", prefix="r", weights=(1, 2))
+            assert validate(intermediate(g1, g2)) == []
+            assert validate(vrsp(g1, g2)) == []

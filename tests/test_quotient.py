@@ -14,6 +14,27 @@ from vrsp.isomorphism import find_isomorphism
 from vrsp.quotient import VertexFamily, contract, contract_family
 
 
+def canonical_ids(g, fam, prefix):
+    """The (set, fresh id) pairs that contract_family mints: canonical order, ids of g skipped."""
+    pairs, index = [], 1
+    for s in sorted(map(frozenset, fam), key=min):
+        while f"{prefix}{index}" in g.vertex_set:
+            index += 1
+        pairs.append((s, f"{prefix}{index}"))
+        index += 1
+    return pairs
+
+
+def random_disjoint_family(rng, g, max_sets=4):
+    """Disjoint vertex sets drawn regardless of order, so contracting them may create a cycle."""
+    bins = [set() for _ in range(rng.randint(1, max_sets))]
+    for v in g.vertices:
+        k = rng.randrange(len(bins) + 1)
+        if k < len(bins):
+            bins[k].add(v)
+    return [b for b in bins if b] or [{g.vertices[0]}]
+
+
 class TestContract:
     def test_full_contraction_leaves_one_bare_vertex(self, fig1):
         g = contract(fig1, fig1.vertices, "~")
@@ -152,6 +173,32 @@ class TestContractFamily:
             reference = contract_family(g, fam, "k~")
             for _ in range(5):
                 assert contract_family(g, fam, "k~", rng=rng) == reference
+
+    def test_matches_a_fold_of_single_set_contractions(self):
+        rng = random.Random(29)
+        cycles = 0
+        for trial in range(400):
+            g = random_dag(rng, actions="pq", min_vertices=2, max_vertices=8, max_arcs=14)
+            pick = random_interval_family if trial % 2 else random_disjoint_family
+            fam = pick(rng, g)
+            minted = canonical_ids(g, fam, "k~")
+            expected = g
+            try:
+                for s, new_id in minted:
+                    expected = contract(expected, s, new_id)
+            except CycleCreatedError:
+                with pytest.raises(CycleCreatedError) as err:
+                    contract_family(g, fam, "k~")
+                # The witness is a cycle of the whole quotient.
+                image = {v: new_id for s, new_id in minted for v in s}
+                steps = {(image.get(a.tail, a.tail), image.get(a.head, a.head)) for a in g.arcs}
+                cycle = err.value.witness
+                assert len(set(cycle)) == len(cycle) >= 2
+                assert all((u, w) in steps for u, w in zip(cycle, cycle[1:] + cycle[:1]))
+                cycles += 1
+            else:
+                assert contract_family(g, fam, "k~") == expected
+        assert cycles >= 30
 
     def test_minting_skips_taken_ids(self):
         g = mk("y~1 u v", [("e1", "y~1", "u", "a"), ("e2", "u", "v", "b")])
