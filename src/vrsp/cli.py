@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable, Iterable
 
 from .decomposition import find_decompositions, prime_factors, verify_decomposition
 from .errors import GraphError
@@ -32,25 +33,24 @@ from .serialization import (
 _PRODUCT_KINDS = {"cartesian": cartesian, "intermediate": intermediate, "vrsp": vrsp}
 
 
-def _read(path: str) -> bytes:
+def _load(path: str, parse: Callable = parse_graph, **options):
+    """Parse the file at ``path`` (a graph unless ``parse`` says otherwise); errors name the path once."""
     try:
-        return Path(path).read_bytes()
+        return parse(Path(path).read_bytes(), **options)
     except OSError as e:
-        raise GraphError(f"cannot read {path}: {e.strerror or e}") from None
-
-
-def _load_graph(path: str, *, check: bool = True) -> Graph:
-    try:
-        return parse_graph(_read(path), check=check)
+        raise GraphError(f"{path}: cannot read: {e.strerror or e}") from None
     except GraphError as e:
         raise GraphError(f"{path}: {e}") from None
 
 
-def _load_family(path: str):
-    try:
-        return parse_family(_read(path))
-    except GraphError as e:
-        raise GraphError(f"{path}: {e}") from None
+def _write_graphs(out_dir: Path, prefix: str, graphs: Iterable[Graph]) -> list[str]:
+    """Write each graph to ``out_dir/<prefix><k>.json``, k counting from 1; return the paths."""
+    files = []
+    for k, g in enumerate(graphs, start=1):
+        path = out_dir / f"{prefix}{k}.json"
+        path.write_text(emit_graph(g), encoding="utf-8")
+        files.append(str(path))
+    return files
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -106,36 +106,36 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run(args: argparse.Namespace) -> int:
     if args.command == "validate":
-        g = _load_graph(args.graph, check=False)
+        g = _load(args.graph, check=False)
         diagnostics = validate(g)
         for d in diagnostics:
             print(d)
         return 1 if diagnostics else 0
 
     if args.command == "product":
-        g = _PRODUCT_KINDS[args.kind](_load_graph(args.left), _load_graph(args.right))
+        g = _PRODUCT_KINDS[args.kind](_load(args.left), _load(args.right))
         _write_or_print(emit_graph(g), args.output)
         return 0
 
     if args.command == "contract":
         ids = [part.strip() for part in args.vertex_set.split(",") if part.strip()]
-        g = contract(_load_graph(args.graph), ids, args.new_id)
+        g = contract(_load(args.graph), ids, args.new_id)
         _write_or_print(emit_graph(g), args.output)
         return 0
 
     if args.command == "iso":
-        mapping = find_isomorphism(_load_graph(args.left), _load_graph(args.right))
+        mapping = find_isomorphism(_load(args.left), _load(args.right))
         print(json.dumps({"isomorphic": mapping is not None, "mapping": mapping}, indent=2))
         return 0 if mapping is not None else 1
 
     if args.command == "verify":
-        g = _load_graph(args.graph)
-        report = verify_decomposition(g, _load_family(args.rows), _load_family(args.cols))
+        g = _load(args.graph)
+        report = verify_decomposition(g, _load(args.rows, parse_family), _load(args.cols, parse_family))
         print(json.dumps(report.as_dict(), indent=2))
         return 0 if report.accepted else 1
 
     if args.command == "decompose":
-        g = _load_graph(args.graph)
+        g = _load(args.graph)
         found = find_decompositions(g, max_labels=args.max_labels)
         out_dir = Path(args.out_dir) if args.out_dir else None
         if out_dir is not None:
@@ -152,12 +152,7 @@ def _run(args: argparse.Namespace) -> int:
                 "factors": [graph_to_document(f) for f in dec.factors],
             }
             if out_dir is not None:
-                files = []
-                for j, factor in enumerate(dec.factors, start=1):
-                    path = out_dir / f"{stem}.d{i}.f{j}.json"
-                    path.write_text(emit_graph(factor), encoding="utf-8")
-                    files.append(str(path))
-                entry["files"] = files
+                entry["files"] = _write_graphs(out_dir, f"{stem}.d{i}.f", dec.factors)
             entries.append(entry)
 
         result = {"count": len(found), "decompositions": entries}
@@ -168,17 +163,12 @@ def _run(args: argparse.Namespace) -> int:
                 primes = [p for f in found[0].factors for p in prime_factors(f, args.max_labels)]
             result["prime_factors"] = [graph_to_document(f) for f in primes]
             if out_dir is not None:
-                files = []
-                for k, factor in enumerate(primes, start=1):
-                    path = out_dir / f"{stem}.prime{k}.json"
-                    path.write_text(emit_graph(factor), encoding="utf-8")
-                    files.append(str(path))
-                result["prime_factor_files"] = files
+                result["prime_factor_files"] = _write_graphs(out_dir, f"{stem}.prime", primes)
         print(json.dumps(result, indent=2))
         return 0 if found else 1
 
     if args.command == "dot":
-        sys.stdout.write(emit_dot(_load_graph(args.graph)))
+        sys.stdout.write(emit_dot(_load(args.graph)))
         return 0
 
     raise AssertionError(f"unhandled command {args.command!r}")

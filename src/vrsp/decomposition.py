@@ -197,12 +197,12 @@ def _verify(g: Graph, rows: VertexFamily, cols: VertexFamily) -> DecompositionRe
             else ConditionResult(False, f"vertices not covered: {_sample(missing)}")
         )
 
+    # first[kind]: index of the first layer not isomorphic to layer 1, if any.
+    first: dict[str, int | None] = {}
     for code, subs, kind in (("C4", row_subs, "row"), ("C5", col_subs, "col")):
-        witness = ""
-        for i in range(1, len(subs)):
-            if find_isomorphism(subs[0], subs[i]) is None:
-                witness = f"{kind} layers 1 and {i + 1} are not isomorphic"
-                break
+        bad = next((i for i in range(1, len(subs)) if find_isomorphism(subs[0], subs[i]) is None), None)
+        first[kind] = bad
+        witness = "" if bad is None else f"{kind} layers 1 and {bad + 1} are not isomorphic"
         conditions[code] = ConditionResult(not witness, witness)
 
     q_rows = q_cols = None
@@ -217,15 +217,13 @@ def _verify(g: Graph, rows: VertexFamily, cols: VertexFamily) -> DecompositionRe
         except CycleCreatedError as e:
             c6_witness = f"contracting cols creates a cycle: {' -> '.join(e.witness)}"
     if not c6_witness and q_rows is not None and q_cols is not None:
-        for j, sub in enumerate(col_subs):
-            if find_isomorphism(q_rows, sub) is None:
-                c6_witness = f"quotient by rows is not isomorphic to col layer {j + 1}"
+        # Isomorphism is an equivalence, so a quotient that matches layer 1
+        # fails exactly on the layers that C4/C5 found unlike layer 1.
+        for q, subs, side, kind in ((q_rows, col_subs, "rows", "col"), (q_cols, row_subs, "cols", "row")):
+            bad = 0 if subs and find_isomorphism(q, subs[0]) is None else first[kind]
+            if bad is not None:
+                c6_witness = f"quotient by {side} is not isomorphic to {kind} layer {bad + 1}"
                 break
-        else:
-            for i, sub in enumerate(row_subs):
-                if find_isomorphism(q_cols, sub) is None:
-                    c6_witness = f"quotient by cols is not isomorphic to row layer {i + 1}"
-                    break
     conditions["C6"] = ConditionResult(not c6_witness, c6_witness)
 
     row_labels = set().union(*(label_set(s) for s in row_subs)) if row_subs else set()

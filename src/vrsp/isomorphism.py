@@ -5,18 +5,22 @@ ordered vertex pair, the multiset of arc labels between the pair onto the
 multiset between the image pair.  Arc and vertex ids never matter.
 
 :func:`find_isomorphism` is the practical matcher: vertices are grouped by
-an invariant signature (degrees, level, incident label multisets, then a few
+an invariant signature (degrees, level, incident label multisets, then two
 rounds of neighbourhood refinement) and matched by backtracking inside those
-groups.  :func:`brute_force_isomorphic` is the ground-truth oracle for small
-graphs: it enumerates every vertex bijection outright and shares none of the
-matcher's pruning, which is the point.
+groups.  Each graph is indexed once per call, every vertex mapping each
+neighbour to the label multisets between them, so a candidate pair (u, w)
+is checked against u's mapped neighbours only, VF2-style: their images must
+be w's neighbours with the same labels, and w must have no other mapped
+neighbour.  :func:`brute_force_isomorphic` is the ground-truth oracle for
+small graphs: it enumerates every vertex bijection outright and shares none
+of the matcher's pruning, which is the point.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import permutations
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .errors import SizeLimitError
 from .graph import Graph, LabelPair, levels
@@ -49,18 +53,14 @@ def is_isomorphism(g1: Graph, g2: Graph, mapping: IsoMapping) -> bool:
     return image == p2
 
 
-def _signatures(g: Graph, rounds: int = 2) -> dict[str, int]:
+def _signatures(g: Graph, intern: Callable[[object], int]) -> dict[str, int]:
     """Isomorphism-invariant vertex signatures, refined by neighbourhood structure.
 
-    Signatures are interned to small ints; equal ints mean "possibly
-    matchable", differing ints mean "provably unmatchable".
+    Signatures are interned to small ints by ``intern``; two graphs whose
+    signatures share one table can be compared directly.  Equal ints mean
+    "possibly matchable", differing ints mean "provably unmatchable".
     """
     lvl = levels(g)
-    interned: dict[object, int] = {}
-
-    def intern(key: object) -> int:
-        return interned.setdefault(key, len(interned))
-
     sig = {
         v: intern(
             (
@@ -73,7 +73,7 @@ def _signatures(g: Graph, rounds: int = 2) -> dict[str, int]:
         )
         for v in g.vertices
     }
-    for _ in range(rounds):
+    for _ in range(2):
         sig = {
             v: intern(
                 (
@@ -85,6 +85,16 @@ def _signatures(g: Graph, rounds: int = 2) -> dict[str, int]:
             for v in g.vertices
         }
     return sig
+
+
+def _neighbour_index(g: Graph, intern: Callable[[object], int]) -> dict[str, dict[str, tuple]]:
+    """``index[v][n]``: the interned label multisets on v -> n and on n -> v, per neighbour n of v."""
+    pairs = {pair: intern(key) for pair, key in _pair_labels(g).items()}
+    index: dict[str, dict[str, tuple]] = {v: {} for v in g.vertices}
+    for t, h in pairs:
+        index[t][h] = (pairs[t, h], pairs.get((h, t)))
+        index[h][t] = (pairs.get((h, t)), pairs[t, h])
+    return index
 
 
 def find_isomorphism(g1: Graph, g2: Graph) -> dict[str, str] | None:
@@ -100,10 +110,13 @@ def find_isomorphism(g1: Graph, g2: Graph) -> dict[str, str] | None:
     if not g1.vertices:
         return {}
 
-    # Signatures must be computed jointly so interned tokens are comparable.
-    joint = _signatures(_disjoint_union(g1, g2))
-    sig1 = {v: joint["1:" + v] for v in g1.vertices}
-    sig2 = {v: joint["2:" + v] for v in g2.vertices}
+    # One intern table for both graphs, so that their tokens are comparable.
+    table: dict[object, int] = {}
+
+    def intern(key: object) -> int:
+        return table.setdefault(key, len(table))
+
+    sig1, sig2 = _signatures(g1, intern), _signatures(g2, intern)
     if Counter(sig1.values()) != Counter(sig2.values()):
         return None
 
@@ -113,15 +126,22 @@ def find_isomorphism(g1: Graph, g2: Graph) -> dict[str, str] | None:
     candidates = {u: by_sig[sig1[u]] for u in g1.vertices}
     order = sorted(g1.vertices, key=lambda u: (len(candidates[u]), u))
 
-    p1, p2 = _pair_labels(g1), _pair_labels(g2)
+    n1, n2 = _neighbour_index(g1, intern), _neighbour_index(g2, intern)
     assigned: dict[str, str] = {}
     used: set[str] = set()
 
     def consistent(u: str, w: str) -> bool:
-        for v, t in assigned.items():
-            if p1.get((u, v)) != p2.get((w, t)) or p1.get((v, u)) != p2.get((t, w)):
-                return False
-        return True
+        # u's mapped neighbours must map onto w's with the same label
+        # multisets, and w may have no other mapped neighbour.
+        row = n2[w]
+        mapped = 0
+        for v, labels in n1[u].items():
+            t = assigned.get(v)
+            if t is not None:
+                if row.get(t) != labels:
+                    return False
+                mapped += 1
+        return mapped == sum(t in used for t in row)
 
     # Depth-first search with an explicit stack, so that graph size is not
     # bounded by the recursion limit: next_try[i] is the position in
@@ -147,17 +167,10 @@ def find_isomorphism(g1: Graph, g2: Graph) -> dict[str, str] | None:
 
     if i < 0:
         return None
-    assert is_isomorphism(g1, g2, assigned)
+    assert len(used) == len(g2.vertices) and all(
+        {assigned[v]: labels for v, labels in n1[u].items()} == n2[assigned[u]] for u in g1.vertices
+    )
     return dict(assigned)
-
-
-def _disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    from .graph import Arc
-
-    vertices = tuple("1:" + v for v in g1.vertices) + tuple("2:" + v for v in g2.vertices)
-    arcs = tuple(Arc("1:" + a.id, "1:" + a.tail, "1:" + a.head, a.label) for a in g1.arcs)
-    arcs += tuple(Arc("2:" + a.id, "2:" + a.tail, "2:" + a.head, a.label) for a in g2.arcs)
-    return Graph(vertices, arcs)
 
 
 def brute_force_isomorphic(g1: Graph, g2: Graph) -> bool:

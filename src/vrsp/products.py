@@ -110,8 +110,7 @@ def intermediate(g1: Graph, g2: Graph) -> Graph:
     equally-labelled factor arcs (so k parallel arcs against l produce k*l
     diagonals).  The vertex set is exactly that of the Cartesian product.
     """
-    _require_factors(g1, g2)
-    return _product(g1, g2, label_set(g1) & label_set(g2))
+    return _product(g1, g2, synchronising_labels(g1, g2))
 
 
 def vrsp(g1: Graph, g2: Graph, *, removal_rng: random.Random | None = None) -> Graph:
@@ -124,8 +123,7 @@ def vrsp(g1: Graph, g2: Graph, *, removal_rng: random.Random | None = None) -> G
     unique; ``removal_rng`` randomises the processing order to let tests
     confirm that.
     """
-    _require_factors(g1, g2)
-    inter = _product(g1, g2, label_set(g1) & label_set(g2))
+    inter = _product(g1, g2, synchronising_labels(g1, g2))
 
     # In-degree in the Cartesian product, taken per coordinate instead of
     # materialising the product itself.

@@ -48,10 +48,7 @@ class VertexFamily:
         return len(self.sets)
 
     def union(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for s in self.sets:
-            out |= s
-        return out
+        return frozenset().union(*self.sets)
 
     def check_against(self, g: Graph) -> "VertexFamily":
         unknown = self.union() - g.vertex_set

@@ -27,7 +27,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 
-from .errors import GraphFormatError, InvalidGraphError
+from .errors import GraphError, GraphFormatError, InvalidGraphError
 from .graph import Arc, Graph, LabelPair, validate
 from .quotient import VertexFamily
 
@@ -145,15 +145,19 @@ def document_to_graph(doc: object, *, check: bool = True) -> Graph:
     return g
 
 
-def parse_graph(text: str | bytes, *, check: bool = True) -> Graph:
-    """Parse UTF-8 JSON text into a validated graph."""
+def _decode(text: str | bytes) -> str:
     if isinstance(text, bytes):
         try:
-            text = text.decode("utf-8")
+            return text.decode("utf-8")
         except UnicodeDecodeError as e:
             raise GraphFormatError(f"input is not valid UTF-8: {e}") from None
+    return text
+
+
+def parse_graph(text: str | bytes, *, check: bool = True) -> Graph:
+    """Parse UTF-8 JSON text into a validated graph."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(_decode(text))
     except json.JSONDecodeError as e:
         raise GraphFormatError(f"malformed JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
     return document_to_graph(doc, check=check)
@@ -166,13 +170,8 @@ def emit_graph(g: Graph) -> str:
 
 def parse_family(text: str | bytes) -> VertexFamily:
     """Parse a family file: one comma-separated vertex set per line."""
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise GraphFormatError(f"input is not valid UTF-8: {e}") from None
     sets = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_decode(text).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -184,7 +183,7 @@ def parse_family(text: str | bytes) -> VertexFamily:
         sets.append(frozenset(ids))
     try:
         return VertexFamily.of(sets)
-    except Exception as e:
+    except GraphError as e:
         raise GraphFormatError(f"invalid family: {e}") from None
 
 

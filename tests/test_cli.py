@@ -128,6 +128,16 @@ class TestVerify:
         assert not payload["conditions"]["C1"]["passed"]
         assert not payload["conditions"]["C3"]["passed"]
 
+    def test_empty_family_is_a_rejection(self, capsys, tmp_path):
+        empty = tmp_path / "empty.cols"
+        empty.write_text("# no layers\n")
+        code, out, err = run(capsys, "verify", fx("fig1.json"), "--rows", fx("fig1.rows"), "--cols", str(empty))
+        assert code == 1 and err == ""
+        payload = json.loads(out)
+        assert payload["family_sizes"] == [3, 0]
+        assert [c for c, r in payload["conditions"].items() if not r["passed"]] == ["C1", "C3", "C6"]
+        assert payload["conditions"]["C6"]["witness"] == "quotient by cols is not isomorphic to row layer 1"
+
     def test_family_for_wrong_graph_is_input_error(self, capsys):
         code, _, err = run(capsys, "verify", fx("fig3.json"), "--rows", fx("fig1.rows"), "--cols", fx("fig1.cols"))
         assert code == 2 and err
@@ -196,6 +206,12 @@ class TestRobustness:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "/no/such/file.json")
         assert code == 2 and err
+
+    def test_unreadable_file_is_named_once(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.rows")
+        code, out, err = run(capsys, "verify", fx("fig1.json"), "--rows", missing, "--cols", fx("fig1.cols"))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {missing}: ") and err.count(missing) == 1
 
     def test_disconnected_graph_cannot_be_decomposed(self, capsys, tmp_path):
         path = tmp_path / "two_islands.json"

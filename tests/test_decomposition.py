@@ -16,11 +16,12 @@ from vrsp.decomposition import (
     prime_factors,
     verify_decomposition,
 )
-from vrsp.errors import DegenerateSplitError, LabelBudgetError, NotConnectedError
+from vrsp.errors import CycleCreatedError, DegenerateSplitError, LabelBudgetError, NotConnectedError
 from vrsp.fixtures import load_family
-from vrsp.graph import build_graph, is_weakly_connected, label_set
+from vrsp.graph import build_graph, induced_subgraph, is_weakly_connected, label_set
 from vrsp.isomorphism import find_isomorphism
 from vrsp.products import cartesian, vrsp
+from vrsp.quotient import contract_family
 
 
 class TestVerify:
@@ -62,11 +63,98 @@ class TestVerify:
         with pytest.raises(NotConnectedError):
             verify_decomposition(g, [{"u"}], [{"v"}])
 
+    def test_empty_family_is_a_rejection_not_an_error(self, fig1, fig1_rows, fig1_cols):
+        report = verify_decomposition(fig1, fig1_rows, [])
+        assert report.family_sizes == (3, 0) and not report.accepted
+        assert report.failed_codes() == ["C1", "C3", "C6"]
+        assert report.conditions["C6"].witness == "quotient by cols is not isomorphic to row layer 1"
+        report = verify_decomposition(fig1, [], fig1_cols)
+        assert report.family_sizes == (0, 4) and report.failed_codes() == ["C1", "C2", "C6"]
+        assert report.conditions["C6"].witness == "quotient by rows is not isomorphic to col layer 1"
+        report = verify_decomposition(fig1, [], [])
+        assert report.failed_codes() == ["C1", "C2", "C3"]
+
+    def test_c6_asks_one_isomorphism_per_side(self, monkeypatch):
+        # 4 rows of 5 vertices, 5 cols of 4: C4 asks 3 questions, C5 4, C6 2, FINAL 1.
+        g = cartesian(path_graph(["a"] * 3, "y"), path_graph(["b"] * 4, "x"))
+        calls = []
+
+        def counting(g1, g2):
+            calls.append((g1, g2))
+            return find_isomorphism(g1, g2)
+
+        monkeypatch.setattr(decomposition, "find_isomorphism", counting)
+        report = verify_decomposition(g, *layers_from_label_split(g, {L("a")}))
+        assert report.accepted and report.family_sizes == (4, 5)
+        assert len(calls) == 3 + 4 + 2 + 1
+
     def test_cycle_creating_family_fails_c6(self):
         g = mk("u v w", [("e1", "u", "v", "a"), ("e2", "v", "w", "b")])
         report = verify_decomposition(g, [{"u", "w"}], [{"u"}, {"v"}, {"w"}])
         assert not report.conditions["C6"].passed
         assert "cycle" in report.conditions["C6"].witness
+
+
+def layer_conditions_oracle(g, rows, cols):
+    """C4-C6 by definition: every layer against layer 1, each quotient against every layer."""
+    row_subs = [induced_subgraph(g, s) for s in rows]
+    col_subs = [induced_subgraph(g, s) for s in cols]
+    out = {}
+    for code, subs, kind in (("C4", row_subs, "row"), ("C5", col_subs, "col")):
+        bad = [i for i in range(1, len(subs)) if find_isomorphism(subs[0], subs[i]) is None]
+        out[code] = (not bad, f"{kind} layers 1 and {bad[0] + 1} are not isomorphic" if bad else "")
+    witness = ""
+    quotients = []
+    for fam, prefix, side in ((rows, "y~", "rows"), (cols, "x~", "cols")):
+        try:
+            quotients.append(contract_family(g, fam, prefix))
+        except CycleCreatedError as e:
+            witness = f"contracting {side} creates a cycle: {' -> '.join(e.witness)}"
+            break
+    if not witness:
+        for q, subs, side, kind in zip(quotients, (col_subs, row_subs), ("rows", "cols"), ("col", "row")):
+            bad = [i for i, sub in enumerate(subs) if find_isomorphism(q, sub) is None]
+            if bad:
+                witness = f"quotient by {side} is not isomorphic to {kind} layer {bad[0] + 1}"
+                break
+    out["C6"] = (not witness, witness)
+    return out
+
+
+def random_partition(rng, vertices, k):
+    parts = [set() for _ in range(k)]
+    for v in vertices:
+        parts[rng.randrange(k)].add(v)
+    return [p for p in parts if p]
+
+
+class TestLayerConditionsOracle:
+    def test_c4_to_c6_match_the_definition(self):
+        rng = random.Random(101)
+        seen = {"C4": 0, "C5": 0, "C6 rows": 0, "C6 cols": 0, "later layer": 0}
+        for i in range(90):
+            if i % 2:
+                g = random_dag(rng, 7, 10, "pqr", min_vertices=2, connected=True, weights=(1, 2))
+            else:
+                g = cartesian(random_factor(rng, "pq", 4, "l"), random_factor(rng, "rs", 4, "r"))
+            labels = sorted(label_set(g))
+            families = [
+                (random_partition(rng, g.vertices, rng.randint(1, 4)), random_partition(rng, g.vertices, rng.randint(1, 4)))
+            ]
+            if len(labels) > 1:
+                rows, cols = layers_from_label_split(g, rng.sample(labels, rng.randint(1, len(labels) - 1)))
+                families += [(list(rows.sets), list(cols.sets)), (list(cols.sets), list(rows.sets))]
+            for rows, cols in families:
+                report = verify_decomposition(g, rows, cols)
+                got = {code: (report.conditions[code].passed, report.conditions[code].witness) for code in ("C4", "C5", "C6")}
+                assert got == layer_conditions_oracle(g, rows, cols)
+                witnesses = " ".join(w for _, w in got.values())
+                seen["C4"] += "row layers" in witnesses
+                seen["C5"] += "col layers" in witnesses
+                seen["C6 rows"] += "quotient by rows" in witnesses
+                seen["C6 cols"] += "quotient by cols" in witnesses
+                seen["later layer"] += "layer" in got["C6"][1] and not got["C6"][1].endswith("layer 1")
+        assert all(seen.values()), seen
 
 
 class TestLayersFromLabelSplit:

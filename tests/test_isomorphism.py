@@ -9,7 +9,7 @@ from conftest import mk, path_graph, random_dag, rename_graph
 
 from vrsp.errors import SizeLimitError
 from vrsp.fixtures import load_graph
-from vrsp.graph import Graph, build_graph
+from vrsp.graph import Arc, Graph, build_graph, topological_order
 from vrsp.isomorphism import brute_force_isomorphic, find_isomorphism, is_isomorphism
 from vrsp.products import cartesian
 
@@ -114,3 +114,47 @@ class TestBruteForce:
         g1 = mk("a b c d", [("e1", "a", "b", "x"), ("e2", "c", "d", "x"), ("e3", "a", "d", "y")])
         g2 = mk("a b c d", [("e1", "a", "b", "x"), ("e2", "c", "d", "x"), ("e3", "c", "b", "y")])
         assert (find_isomorphism(g1, g2) is not None) == brute_force_isomorphic(g1, g2)
+
+
+def moved_arc(rng: random.Random, g: Graph) -> Graph:
+    """g with one arc's head moved to another vertex, keeping g acyclic and free of repeated labelled pairs."""
+    order = topological_order(g)
+    position = {v: i for i, v in enumerate(order)}
+    taken = {(a.tail, a.head, a.label) for a in g.arcs}
+    arcs = list(g.arcs)
+    while True:
+        k = rng.randrange(len(arcs))
+        a = arcs[k]
+        heads = [v for v in order[position[a.tail] + 1 :] if (a.tail, v, a.label) not in taken]
+        if heads:
+            arcs[k] = Arc(a.id, a.tail, rng.choice(heads), a.label)
+            return build_graph(g.vertices, arcs)
+
+
+class TestAgainstNetworkx:
+    def test_agreement_above_the_brute_force_cap(self):
+        # networkx compares the *sets* of labels between a vertex pair plus
+        # their count, which equals comparing multisets only when no pair
+        # repeats a label; allow_parallel=False guarantees that.
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import MultiDiGraphMatcher, categorical_multiedge_match
+
+        def to_nx(g: Graph):
+            h = nx.MultiDiGraph()
+            h.add_nodes_from(g.vertices)
+            for a in g.arcs:
+                h.add_edge(a.tail, a.head, label=a.label)
+            return h
+
+        rng = random.Random(89)
+        found = 0
+        for k in range(20):
+            n = rng.randint(20, 300) if k % 4 else 300
+            g1 = random_dag(rng, n, 2 * n, "pq", min_vertices=n, connected=True, allow_parallel=False, weights=(1, 2))
+            g2 = rename_graph(rng, g1 if k % 2 else moved_arc(rng, g1))
+            mapping = find_isomorphism(g1, g2)
+            matcher = MultiDiGraphMatcher(to_nx(g1), to_nx(g2), edge_match=categorical_multiedge_match("label", None))
+            assert (mapping is not None) == matcher.is_isomorphic()
+            assert mapping is None or is_isomorphism(g1, g2, mapping)
+            found += mapping is not None
+        assert 0 < found < 20

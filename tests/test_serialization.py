@@ -114,6 +114,17 @@ class TestFamilies:
         with pytest.raises(GraphFormatError, match="line 1"):
             parse_family("u1,,u2\n")
 
+    def test_empty_file_is_an_empty_family(self):
+        assert parse_family("# nothing\n") == VertexFamily(())
+
+    def test_a_bug_is_not_reported_as_bad_input(self, monkeypatch):
+        def broken(sets):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(VertexFamily, "of", broken)
+        with pytest.raises(RuntimeError):
+            parse_family("u1\n")
+
 
 class TestDot:
     def test_single_arc(self):
