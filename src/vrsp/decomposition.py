@@ -8,6 +8,15 @@ disjointness across the two families), and, only when all of them hold, the
 final constructive check: the graph must be isomorphic to the product of the
 two quotients.
 
+Every isomorphism those checks ask about is named by the coordinates when
+the decomposition holds (Imrich & Peterin, "Recognizing Cartesian products
+in linear time", 2007): row layers match each other by col set, col layers
+by row set, a quotient's vertex matches the layer-1 vertex of the set it
+contracted, and g matches the product by v -> (row of v, col of v).  Each
+such witness is checked in linear time; only a witness that fails is
+followed by a search, so an accepted decomposition is confirmed without
+search and only rejections pay for one.
+
 The search enumerates candidate families from label bipartitions: for any
 valid decomposition the two sides cannot share a label, so each side of a
 bipartition induces a spanning subgraph whose weak components are exactly
@@ -33,17 +42,17 @@ from .errors import (
     NotConnectedError,
 )
 from .graph import (
+    Arc,
     Graph,
     LabelPair,
-    induced_subgraph,
     is_weakly_connected,
     label_set,
     spanning_subgraph_by_labels,
     weak_components,
 )
-from .isomorphism import find_isomorphism
-from .products import vrsp
-from .quotient import VertexFamily, contract_family
+from .isomorphism import find_isomorphism, is_isomorphism
+from .products import pair_vertex, vrsp
+from .quotient import VertexFamily, _mint, _quotient
 
 __all__ = [
     "CONDITION_CODES",
@@ -169,16 +178,35 @@ def _check_graph(g: Graph) -> None:
 
 
 def _verify(g: Graph, rows: VertexFamily, cols: VertexFamily) -> DecompositionReport:
-    """:func:`verify_decomposition` on a graph and families already checked against it."""
-    row_subs = [induced_subgraph(g, s) for s in rows.sets]
-    col_subs = [induced_subgraph(g, s) for s in cols.sets]
+    """:func:`verify_decomposition` on a graph and families already checked against it.
+
+    Each family is a partition of its union, so one pass over the arcs puts
+    every arc into the row layer and the col layer that hold both its ends.
+    Those buckets are the layer subgraphs; the arcs in neither are C1's
+    uncovered arcs.  Every isomorphism that C4, C5, C6 and FINAL ask about
+    is first tried as its coordinate witness, which :func:`_isomorphic`
+    checks in linear time; only a witness that fails leads to a search.
+    """
+    row_of = {v: i for i, s in enumerate(rows.sets) for v in s}
+    col_of = {v: j for j, s in enumerate(cols.sets) for v in s}
+    row_arcs: list[list[Arc]] = [[] for _ in rows.sets]
+    col_arcs: list[list[Arc]] = [[] for _ in cols.sets]
+    uncovered_arcs = []
+    for a in g.arcs:
+        i, j = row_of.get(a.tail), col_of.get(a.tail)
+        in_row = i is not None and i == row_of.get(a.head)
+        in_col = j is not None and j == col_of.get(a.head)
+        if in_row:
+            row_arcs[i].append(a)
+        if in_col:
+            col_arcs[j].append(a)
+        if not (in_row or in_col):
+            uncovered_arcs.append(a.id)
+    row_subs = [Graph(tuple(s), tuple(arcs)) for s, arcs in zip(rows.sets, row_arcs)]
+    col_subs = [Graph(tuple(s), tuple(arcs)) for s, arcs in zip(cols.sets, col_arcs)]
     conditions: dict[str, ConditionResult] = {}
 
-    all_sets = list(rows.sets) + list(cols.sets)
-    uncovered_vs = g.vertex_set - (rows.union() | cols.union())
-    uncovered_arcs = [
-        a.id for a in g.arcs if not any(a.tail in s and a.head in s for s in all_sets)
-    ]
+    uncovered_vs = g.vertex_set.difference(row_of, col_of)
     if uncovered_vs or uncovered_arcs:
         parts = []
         if uncovered_vs:
@@ -189,8 +217,8 @@ def _verify(g: Graph, rows: VertexFamily, cols: VertexFamily) -> DecompositionRe
     else:
         conditions["C1"] = ConditionResult(True)
 
-    for code, fam in (("C2", rows), ("C3", cols)):
-        missing = g.vertex_set - fam.union()
+    for code, index in (("C2", row_of), ("C3", col_of)):
+        missing = g.vertex_set.difference(index)
         conditions[code] = (
             ConditionResult(True)
             if not missing
@@ -199,35 +227,40 @@ def _verify(g: Graph, rows: VertexFamily, cols: VertexFamily) -> DecompositionRe
 
     # first[kind]: index of the first layer not isomorphic to layer 1, if any.
     first: dict[str, int | None] = {}
-    for code, subs, kind in (("C4", row_subs, "row"), ("C5", col_subs, "col")):
-        bad = next((i for i in range(1, len(subs)) if find_isomorphism(subs[0], subs[i]) is None), None)
-        first[kind] = bad
+    checks = (("C4", rows, row_subs, "row", col_of), ("C5", cols, col_subs, "col", row_of))
+    for code, fam, subs, kind, across in checks:
+        unlike = (i for i in range(1, len(subs)) if not _isomorphic(subs[0], subs[i], _matching(fam, i, across)))
+        bad = first[kind] = next(unlike, None)
         witness = "" if bad is None else f"{kind} layers 1 and {bad + 1} are not isomorphic"
         conditions[code] = ConditionResult(not witness, witness)
 
-    q_rows = q_cols = None
+    # images[k]: each vertex's fresh id in the quotient by rows (k = 0) or cols (k = 1).
+    images = (_mint(g, rows, "y~"), _mint(g, cols, "x~"))
+    quotients: list[Graph] = []
     c6_witness = ""
-    try:
-        q_rows = contract_family(g, rows, "y~")
-    except CycleCreatedError as e:
-        c6_witness = f"contracting rows creates a cycle: {' -> '.join(e.witness)}"
-    if not c6_witness:
+    for image, side in zip(images, ("rows", "cols")):
         try:
-            q_cols = contract_family(g, cols, "x~")
+            quotients.append(_quotient(g, image))
         except CycleCreatedError as e:
-            c6_witness = f"contracting cols creates a cycle: {' -> '.join(e.witness)}"
-    if not c6_witness and q_rows is not None and q_cols is not None:
+            c6_witness = f"contracting {side} creates a cycle: {' -> '.join(e.witness)}"
+            break
+    if not c6_witness:
         # Isomorphism is an equivalence, so a quotient that matches layer 1
-        # fails exactly on the layers that C4/C5 found unlike layer 1.
-        for q, subs, side, kind in ((q_rows, col_subs, "rows", "col"), (q_cols, row_subs, "cols", "row")):
-            bad = 0 if subs and find_isomorphism(q, subs[0]) is None else first[kind]
+        # fails exactly on the layers that C4/C5 found unlike layer 1.  The
+        # witness sends each fresh vertex to the vertex of layer 1 that it
+        # contracted.
+        sides = ((cols, col_subs, "rows", "col"), (rows, row_subs, "cols", "row"))
+        for q, image, (fam, subs, side, kind) in zip(quotients, images, sides):
+            bad = first[kind]
+            if subs and not _isomorphic(q, subs[0], {image[w]: w for w in fam.sets[0] if w in image}):
+                bad = 0
             if bad is not None:
                 c6_witness = f"quotient by {side} is not isomorphic to {kind} layer {bad + 1}"
                 break
     conditions["C6"] = ConditionResult(not c6_witness, c6_witness)
 
-    row_labels = set().union(*(label_set(s) for s in row_subs)) if row_subs else set()
-    col_labels = set().union(*(label_set(s) for s in col_subs)) if col_subs else set()
+    row_labels = {a.label for arcs in row_arcs for a in arcs}
+    col_labels = {a.label for arcs in col_arcs for a in arcs}
     shared = row_labels & col_labels
     conditions["C7"] = (
         ConditionResult(True)
@@ -237,9 +270,10 @@ def _verify(g: Graph, rows: VertexFamily, cols: VertexFamily) -> DecompositionRe
 
     factors = None
     if all(conditions[c].passed for c in CONDITION_CODES):
-        assert q_rows is not None and q_cols is not None
+        q_rows, q_cols = quotients
         product = vrsp(q_rows, q_cols)
-        if find_isomorphism(g, product) is not None:
+        row_image, col_image = images
+        if _isomorphic(g, product, {v: pair_vertex(row_image[v], col_image[v]) for v in g.vertices}):
             conditions["FINAL"] = ConditionResult(True)
             factors = (q_rows, q_cols)
         else:
@@ -248,6 +282,17 @@ def _verify(g: Graph, rows: VertexFamily, cols: VertexFamily) -> DecompositionRe
             )
 
     return DecompositionReport(conditions, (len(rows), len(cols)), factors)
+
+
+def _matching(fam: VertexFamily, i: int, across: dict[str, int]) -> dict[str, str | None]:
+    """Layer 1 of ``fam`` onto layer i + 1: each vertex to the one in the same set of the other family."""
+    by_set = {across.get(w): w for w in fam.sets[i]}
+    return {v: by_set.get(across.get(v)) for v in fam.sets[0]}
+
+
+def _isomorphic(g1: Graph, g2: Graph, witness: dict[str, str | None]) -> bool:
+    """Whether g1 and g2 are isomorphic: by ``witness`` when it is one, else by search."""
+    return is_isomorphism(g1, g2, witness) or find_isomorphism(g1, g2) is not None
 
 
 def layers_from_label_split(

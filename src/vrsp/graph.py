@@ -59,6 +59,19 @@ class LabelPair:
             raise ValueError(f"label weight must be an exact integer or rational, got {self.weight!r}")
         object.__setattr__(self, "weight", Fraction(self.weight))
 
+    @cached_property
+    def _hash(self) -> int:
+        # Hashing the Fraction weight is slow, and labels are dict keys
+        # everywhere; labels that are never hashed never pay for it.
+        return hash((self.action, self.weight))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild rather than restore the cached hash: str hashes differ between processes.
+        return LabelPair, (self.action, self.weight)
+
     def __str__(self) -> str:
         return f"{self.action},{self.weight}"
 

@@ -7,17 +7,20 @@ multiset between the image pair.  Arc and vertex ids never matter.
 :func:`find_isomorphism` is the practical matcher: vertices are grouped by
 an invariant signature (degrees, level, incident label multisets, then two
 rounds of neighbourhood refinement) and matched by backtracking inside those
-groups.  Each graph is indexed once per call, every vertex mapping each
-neighbour to the label multisets between them, so a candidate pair (u, w)
-is checked against u's mapped neighbours only, VF2-style: their images must
-be w's neighbours with the same labels, and w must have no other mapped
-neighbour.  :func:`brute_force_isomorphic` is the ground-truth oracle for
-small graphs: it enumerates every vertex bijection outright and shares none
-of the matcher's pruning, which is the point.
+groups, in an order that grows through neighbours (VF2++), so that each
+vertex after the first of its component is drawn from the neighbours of an
+already-mapped neighbour's image.  Each graph is indexed once per call,
+every vertex mapping each neighbour to the label multisets between them, so
+a candidate pair (u, w) is checked against u's mapped neighbours only,
+VF2-style: their images must be w's neighbours with the same labels, and w
+must have no other mapped neighbour.  :func:`brute_force_isomorphic` is the
+ground-truth oracle for small graphs: it enumerates every vertex bijection
+outright and shares none of the matcher's pruning, which is the point.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from itertools import permutations
 from typing import Callable, Mapping
@@ -31,15 +34,15 @@ IsoMapping = Mapping[str, str]
 
 BRUTE_FORCE_LIMIT = 8
 
-_LabelKey = tuple[tuple[LabelPair, int], ...]
+_LabelKey = tuple[LabelPair, ...]
 
 
 def _pair_labels(g: Graph) -> dict[tuple[str, str], _LabelKey]:
-    """Multiset of labels between every adjacent ordered vertex pair, in hashable form."""
-    counts: dict[tuple[str, str], Counter] = {}
+    """Multiset of labels between every adjacent ordered vertex pair, as a sorted tuple."""
+    labels: dict[tuple[str, str], list[LabelPair]] = {}
     for a in g.arcs:
-        counts.setdefault((a.tail, a.head), Counter())[a.label] += 1
-    return {pair: tuple(sorted(c.items())) for pair, c in counts.items()}
+        labels.setdefault((a.tail, a.head), []).append(a.label)
+    return {pair: tuple(sorted(ls)) for pair, ls in labels.items()}
 
 
 def is_isomorphism(g1: Graph, g2: Graph, mapping: IsoMapping) -> bool:
@@ -100,8 +103,14 @@ def _neighbour_index(g: Graph, intern: Callable[[object], int]) -> dict[str, dic
 def find_isomorphism(g1: Graph, g2: Graph) -> dict[str, str] | None:
     """Find a label-preserving isomorphism witness, or None when there is none.
 
-    Deterministic for given inputs: vertices are processed smallest
-    candidate class first, candidates in sorted id order.
+    Deterministic for given inputs.  The matching order grows each weak
+    component of g1 through neighbours (VF2++, Jüttner & Madarasi 2018):
+    it starts at the vertex with the smallest candidate class and always
+    takes next, among the neighbours of the vertices ordered so far, one
+    with the smallest class, ties broken by id.  A vertex reached that way
+    can only map to a neighbour of its anchor's image, the anchor being the
+    ordered neighbour that reached it; candidates are tried in sorted id
+    order.
     """
     if len(g1.vertices) != len(g2.vertices) or len(g1.arcs) != len(g2.arcs):
         return None
@@ -123,12 +132,34 @@ def find_isomorphism(g1: Graph, g2: Graph) -> dict[str, str] | None:
     by_sig: dict[int, list[str]] = {}
     for w in g2.vertices:
         by_sig.setdefault(sig2[w], []).append(w)
-    candidates = {u: by_sig[sig1[u]] for u in g1.vertices}
-    order = sorted(g1.vertices, key=lambda u: (len(candidates[u]), u))
-
     n1, n2 = _neighbour_index(g1, intern), _neighbour_index(g2, intern)
+
+    def rarity(u: str) -> tuple[int, str]:
+        return len(by_sig[sig1[u]]), u
+
+    order: list[str] = []
+    anchor: dict[str, str | None] = {}
+    for root in sorted(g1.vertices, key=rarity):
+        if root in anchor:
+            continue
+        anchor[root] = None
+        frontier = [rarity(root)]
+        while frontier:
+            _, u = heapq.heappop(frontier)
+            order.append(u)
+            for v in n1[u]:
+                if v not in anchor:
+                    anchor[v] = u
+                    heapq.heappush(frontier, rarity(v))
+
     assigned: dict[str, str] = {}
     used: set[str] = set()
+
+    def candidates(u: str) -> list[str]:
+        a = anchor[u]
+        if a is None:
+            return by_sig[sig1[u]]
+        return sorted(w for w in n2[assigned[a]] if sig2[w] == sig1[u])
 
     def consistent(u: str, w: str) -> bool:
         # u's mapped neighbours must map onto w's with the same label
@@ -145,15 +176,19 @@ def find_isomorphism(g1: Graph, g2: Graph) -> dict[str, str] | None:
 
     # Depth-first search with an explicit stack, so that graph size is not
     # bounded by the recursion limit: next_try[i] is the position in
-    # order[i]'s candidate list to resume from when the search returns there.
+    # order[i]'s candidate list to resume from when the search returns there,
+    # and cands_at[i] that list, drawn afresh whenever next_try[i] is 0.
     next_try = [0] * len(order)
+    cands_at: list[list[str]] = [[]] * len(order)
     i = 0
     while 0 <= i < len(order):
         u = order[i]
         if u in assigned:  # back from a dead end below: undo this level's choice
             used.remove(assigned.pop(u))
-        cands = candidates[u]
         j = next_try[i]
+        if j == 0:
+            cands_at[i] = candidates(u)
+        cands = cands_at[i]
         while j < len(cands) and (cands[j] in used or not consistent(u, cands[j])):
             j += 1
         if j == len(cands):

@@ -126,7 +126,11 @@ def contract_family(
     if not isinstance(fam, VertexFamily):
         fam = VertexFamily.of(fam)
     fam.check_against(g)
+    return _quotient(g, _mint(g, fam, id_prefix))
 
+
+def _mint(g: Graph, fam: VertexFamily, id_prefix: str) -> dict[str, str]:
+    """The fresh vertex of each member of ``fam``, as :func:`contract_family` names them."""
     # Mint against all of V(g), skipping indices already taken, so the names
     # are fresh.  Quotients of quotients therefore keep working even when the
     # prefix repeats.
@@ -137,4 +141,4 @@ def contract_family(
             index += 1
         image.update(dict.fromkeys(s, f"{id_prefix}{index}"))
         index += 1
-    return _quotient(g, image)
+    return image

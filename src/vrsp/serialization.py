@@ -108,6 +108,10 @@ def document_to_graph(doc: object, *, check: bool = True) -> Graph:
         raise GraphFormatError(f"repeated vertex ids: {', '.join(repr(v) for v in repeated)}")
     raw_arcs = _expect(doc.get("arcs"), list, "'arcs'")
 
+    # One LabelPair per distinct label, so that each weight is parsed once and
+    # label lookups hit the identity fast path.  The key carries the token's
+    # type because True == 1; unhashable tokens get no key and are rejected.
+    labels: dict[object, LabelPair] = {}
     arcs = []
     for i, entry in enumerate(raw_arcs):
         where = f"arc #{i + 1}"
@@ -124,16 +128,20 @@ def document_to_graph(doc: object, *, check: bool = True) -> Graph:
         action = _expect(entry["action"], str, f"{where} 'action'")
         if not action:
             raise GraphFormatError(f"{where}: 'action' must be non-empty")
-        try:
-            weight = parse_weight(entry["weight"])
-        except GraphFormatError as e:
-            raise GraphFormatError(f"{where}: {e}") from None
+        token = entry["weight"]
+        key = (action, type(token), token) if isinstance(token, (str, int)) else None
+        label = labels.get(key)
+        if label is None:
+            try:
+                label = labels[key] = LabelPair(action, parse_weight(token))
+            except GraphFormatError as e:
+                raise GraphFormatError(f"{where}: {e}") from None
         arcs.append(
             Arc(
                 arc_id,
                 _expect(entry["tail"], str, f"{where} 'tail'"),
                 _expect(entry["head"], str, f"{where} 'head'"),
-                LabelPair(action, weight),
+                label,
             )
         )
 

@@ -6,7 +6,7 @@ import random
 from functools import reduce
 
 import pytest
-from conftest import L, mk, path_graph, random_dag, random_factor
+from conftest import L, mk, path_graph, random_dag, random_factor, rename_graph
 
 from vrsp import decomposition
 from vrsp.decomposition import (
@@ -22,6 +22,18 @@ from vrsp.graph import build_graph, induced_subgraph, is_weakly_connected, label
 from vrsp.isomorphism import find_isomorphism
 from vrsp.products import cartesian, vrsp
 from vrsp.quotient import contract_family
+
+
+def matcher_calls(monkeypatch) -> list[tuple]:
+    """The argument pairs of every matcher call the verifier makes from now on."""
+    calls = []
+
+    def counting(g1, g2):
+        calls.append((g1, g2))
+        return find_isomorphism(g1, g2)
+
+    monkeypatch.setattr(decomposition, "find_isomorphism", counting)
+    return calls
 
 
 class TestVerify:
@@ -75,18 +87,56 @@ class TestVerify:
         assert report.failed_codes() == ["C1", "C2", "C3"]
 
     def test_c6_asks_one_isomorphism_per_side(self, monkeypatch):
-        # 4 rows of 5 vertices, 5 cols of 4: C4 asks 3 questions, C5 4, C6 2, FINAL 1.
+        # 4 rows of 5 vertices, 5 cols of 4: C4 asks 3 questions, C5 4, C6 2,
+        # FINAL 1, and each coordinate witness answers its question without search.
         g = cartesian(path_graph(["a"] * 3, "y"), path_graph(["b"] * 4, "x"))
-        calls = []
-
-        def counting(g1, g2):
-            calls.append((g1, g2))
-            return find_isomorphism(g1, g2)
-
-        monkeypatch.setattr(decomposition, "find_isomorphism", counting)
+        calls = matcher_calls(monkeypatch)
         report = verify_decomposition(g, *layers_from_label_split(g, {L("a")}))
         assert report.accepted and report.family_sizes == (4, 5)
-        assert len(calls) == 3 + 4 + 2 + 1
+        assert len(calls) == 0
+
+    def test_failed_witnesses_fall_back_to_search(self, monkeypatch, fig1, fig1_rows, fig1_cols, fig3):
+        calls = matcher_calls(monkeypatch)
+        rows, cols = load_family("fig3", "rows"), load_family("fig3", "cols")
+        assert not verify_decomposition(fig3, rows, cols).conditions["C4"].passed
+        layers = [induced_subgraph(fig3, s) for s in rows.sets]
+        assert calls[0] == (layers[0], layers[1])
+
+        # A product under other vertex names defeats the FINAL witness, not FINAL.
+        calls.clear()
+        products = []
+
+        def renamed_vrsp(g1, g2):
+            products.append(rename_graph(random.Random(5), vrsp(g1, g2)))
+            return products[-1]
+
+        monkeypatch.setattr(decomposition, "vrsp", renamed_vrsp)
+        assert verify_decomposition(fig1, fig1_rows, fig1_cols).accepted
+        assert calls == [(fig1, products[0])]
+
+    def test_layers_alike_only_off_the_coordinates_pass(self, monkeypatch):
+        # Matching the rows by col set sends u1 -> u2 onto v1 -> v3: only the
+        # search finds the map u_i -> v_i.  The quotient by cols has two arcs,
+        # so it is unlike row layer 1 under any map.
+        g = mk(
+            "u1 u2 u3 v1 v2 v3",
+            [
+                ("e1", "u1", "u2", "a"),
+                ("e2", "v1", "v2", "a"),
+                ("e3", "u1", "v1", "b"),
+                ("e4", "u2", "v3", "b"),
+                ("e5", "u3", "v2", "b"),
+            ],
+        )
+        calls = matcher_calls(monkeypatch)
+        rows, cols = [{"u1", "u2", "u3"}, {"v1", "v2", "v3"}], [{"u1", "v1"}, {"u2", "v3"}, {"u3", "v2"}]
+        report = verify_decomposition(g, rows, cols)
+        assert report.conditions["C4"].passed and report.conditions["C5"].passed
+        assert report.conditions["C6"].witness == "quotient by cols is not isomorphic to row layer 1"
+        assert calls == [
+            (induced_subgraph(g, rows[0]), induced_subgraph(g, rows[1])),
+            (contract_family(g, cols, "x~"), induced_subgraph(g, rows[0])),
+        ]
 
     def test_cycle_creating_family_fails_c6(self):
         g = mk("u v w", [("e1", "u", "v", "a"), ("e2", "v", "w", "b")])
@@ -96,7 +146,11 @@ class TestVerify:
 
 
 def layer_conditions_oracle(g, rows, cols):
-    """C4-C6 by definition: every layer against layer 1, each quotient against every layer."""
+    """C4-C6 by definition: every layer against layer 1, each quotient against every layer.
+
+    FINAL, by search against the product of the quotients, is added whenever
+    both quotients exist; the verifier reports it only when C1-C7 pass.
+    """
     row_subs = [induced_subgraph(g, s) for s in rows]
     col_subs = [induced_subgraph(g, s) for s in cols]
     out = {}
@@ -118,6 +172,9 @@ def layer_conditions_oracle(g, rows, cols):
                 witness = f"quotient by {side} is not isomorphic to {kind} layer {bad[0] + 1}"
                 break
     out["C6"] = (not witness, witness)
+    if len(quotients) == 2:
+        final = find_isomorphism(g, vrsp(*quotients)) is not None
+        out["FINAL"] = (final, "" if final else "graph is not isomorphic to the product of the quotients")
     return out
 
 
@@ -131,7 +188,7 @@ def random_partition(rng, vertices, k):
 class TestLayerConditionsOracle:
     def test_c4_to_c6_match_the_definition(self):
         rng = random.Random(101)
-        seen = {"C4": 0, "C5": 0, "C6 rows": 0, "C6 cols": 0, "later layer": 0}
+        seen = {"C4": 0, "C5": 0, "C6 rows": 0, "C6 cols": 0, "later layer": 0, "FINAL": 0}
         for i in range(90):
             if i % 2:
                 g = random_dag(rng, 7, 10, "pqr", min_vertices=2, connected=True, weights=(1, 2))
@@ -146,8 +203,12 @@ class TestLayerConditionsOracle:
                 families += [(list(rows.sets), list(cols.sets)), (list(cols.sets), list(rows.sets))]
             for rows, cols in families:
                 report = verify_decomposition(g, rows, cols)
-                got = {code: (report.conditions[code].passed, report.conditions[code].witness) for code in ("C4", "C5", "C6")}
-                assert got == layer_conditions_oracle(g, rows, cols)
+                got = {code: (res.passed, res.witness) for code, res in report.conditions.items()}
+                expected = layer_conditions_oracle(g, rows, cols)
+                if "FINAL" not in got:
+                    expected.pop("FINAL", None)
+                assert {code: got[code] for code in expected} == expected
+                seen["FINAL"] += "FINAL" in got
                 witnesses = " ".join(w for _, w in got.values())
                 seen["C4"] += "row layers" in witnesses
                 seen["C5"] += "col layers" in witnesses

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from conftest import L, mk, random_dag
@@ -49,6 +53,18 @@ class TestLabelPair:
     def test_weight_rejects_floats(self):
         with pytest.raises(ValueError):
             LabelPair("a", 0.5)  # type: ignore[arg-type]
+
+    def test_pickled_labels_hash_afresh_in_another_process(self):
+        # The hash is cached, and str hashes differ between processes.
+        make = "from fractions import Fraction; from vrsp.graph import LabelPair; labels = {LabelPair('a', Fraction(3, 2)), LabelPair('b')}"
+        dump = make + "; import pickle, sys; sys.stdout.buffer.write(pickle.dumps(labels))"
+        load = make + "; import pickle, sys; sys.exit(pickle.loads(sys.stdin.buffer.read()) != labels)"
+
+        def child(code: str, seed: str, data: bytes = b"") -> bytes:
+            env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"), PYTHONHASHSEED=seed)
+            return subprocess.run([sys.executable, "-c", code], input=data, env=env, capture_output=True, check=True, timeout=60).stdout
+
+        child(load, "2", child(dump, "1"))
 
 
 class TestValidate:

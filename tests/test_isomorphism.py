@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import mk, path_graph, random_dag, rename_graph
@@ -72,6 +76,37 @@ class TestFindIsomorphism:
             assert is_isomorphism(b, a, {w: v for v, w in ab.items()})
             # transitive: composition witnesses a ~ c
             assert is_isomorphism(a, c, {v: bc[w] for v, w in ab.items()})
+
+
+ZIGZAG_CHILD = """
+import sys
+from vrsp.graph import Arc, LabelPair, build_graph
+from vrsp.isomorphism import find_isomorphism, is_isomorphism
+
+def zigzag(m, p):
+    # Sources s_i -> sinks t_i and t_(i+1 mod m), one label: a single 2m-cycle.
+    arcs = [Arc(f"{p}{i}{e}", f"{p}s{i}", f"{p}t{(i + d) % m}", LabelPair("a")) for i in range(m) for e, d in (("x", 0), ("y", 1))]
+    return [f"{p}s{i}" for i in range(m)] + [f"{p}t{i}" for i in range(m)], arcs
+
+def graph(*parts):
+    return build_graph([v for vs, _ in parts for v in vs], [a for _, arcs in parts for a in arcs])
+
+k = int(sys.argv[1])
+one, two = graph(zigzag(2 * k, "z")), graph(zigzag(k, "x"), zigzag(k, "y"))
+assert find_isomorphism(one, two) is None and find_isomorphism(two, one) is None
+copy = graph(zigzag(2 * k, "w"))
+assert is_isomorphism(one, copy, find_isomorphism(one, copy))
+"""
+
+
+@pytest.mark.parametrize("k", [5, 40])
+def test_zigzag_pairs_are_decided_quickly(k):
+    # Two rounds of refinement cannot tell one zig-zag of 2k sources from two
+    # of k; a matching order that ignored adjacency took 54 s at k = 5.  The
+    # child takes well under 0.1 s, and the timeout turns a regression into
+    # a failure rather than a hung suite.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    subprocess.run([sys.executable, "-c", ZIGZAG_CHILD, str(k)], env=env, check=True, timeout=30)
 
 
 class TestWitnessVerifier:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from conftest import mk, random_dag
 
+from vrsp.cli import main
 from vrsp.errors import GraphFormatError, InvalidGraphError
 from vrsp.fixtures import fixture_path, load_graph
 from vrsp.quotient import VertexFamily
@@ -95,6 +97,30 @@ class TestParseErrors:
     def test_repeated_vertex_id_named(self, check):
         with pytest.raises(GraphFormatError, match="repeated vertex ids: 'u'"):
             parse_graph('{"vertices": ["u", "u", "v"], "arcs": []}', check=check)
+
+
+class TestLabelInterning:
+    @staticmethod
+    def doc(*weights) -> dict:
+        vertices = [f"v{i}" for i in range(len(weights) + 1)]
+        arcs = [
+            {"id": f"e{i}", "tail": vertices[i], "head": vertices[i + 1], "action": "a", "weight": w}
+            for i, w in enumerate(weights)
+        ]
+        return {"vertices": vertices, "arcs": arcs}
+
+    @pytest.mark.parametrize("bad", [True, [1], {"p": 1}])
+    def test_bad_weight_after_a_good_one_exits_2(self, tmp_path, capsys, bad):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(self.doc(1, bad)))
+        assert main(["validate", str(path)]) == 2
+        assert "arc 'e1': weight must be" in capsys.readouterr().err
+
+    def test_equal_tokens_give_equal_labels(self):
+        g = parse_graph(json.dumps(self.doc("2", 2, "2", "4/2")))
+        labels = [a.label for a in g.arcs]
+        assert labels[0] is labels[2]
+        assert len(set(labels)) == 1 and len({hash(l) for l in labels}) == 1
 
 
 class TestFamilies:
