@@ -154,11 +154,17 @@ class Graph:
         if v not in self.vertex_set:
             raise UnknownVertexError(f"unknown vertex id {v!r}")
 
+    @cached_property
+    def _diagnostics(self) -> list[Diagnostic]:
+        return validate(self)
+
     def check(self) -> "Graph":
-        """Return self if all invariants hold, else raise ``InvalidGraphError``."""
-        diags = validate(self)
-        if diags:
-            raise InvalidGraphError(diags)
+        """Return self if all invariants hold, else raise ``InvalidGraphError``.
+
+        The graph is immutable, so it is validated at most once.
+        """
+        if self._diagnostics:
+            raise InvalidGraphError(self._diagnostics)
         return self
 
 

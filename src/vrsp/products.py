@@ -10,10 +10,14 @@ prunes states made unreachable by synchronisation: any vertex that has lost
 all incoming arcs relative to the Cartesian product is deleted together with
 its outgoing arcs, repeatedly, until a fixpoint.
 
-One builder makes the first two stages: the Cartesian product is the
-intermediate product with no synchronising label.  Each product validates
-its factors once, on entry; products of valid factors are valid by
-construction, so only clashes of the generated names are checked.
+One builder makes all three: the Cartesian product is the intermediate
+product with no synchronising label, and VRSP is the intermediate product
+without the pairs that the removal rule deletes.  That removal runs on
+coordinate pairs, from the factors' degrees and successors, before any arc
+is built, so no arc of a removed pair is ever made.  Each product validates
+its factors on entry (a graph is validated at most once); products of valid
+factors are valid by construction, so only clashes of the generated names
+are checked, over every pair and arc, removed or not.
 
 Product vertices are named "(u,x)" after their coordinates; arc ids encode
 provenance ("L:"/"R:" copies with the coordinate they were copied at, "S:"
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from typing import Literal
+from typing import Collection, Iterable, Literal
 
 from .errors import EmptyFactorError, GraphError
 from .graph import Arc, Graph, LabelPair, label_set
@@ -65,41 +69,155 @@ def _require_factors(g1: Graph, g2: Graph) -> None:
     g2.check()
 
 
-def _product(g1: Graph, g2: Graph, shared: set[LabelPair]) -> Graph:
-    """The intermediate product of two valid factors synchronising on ``shared``."""
-    names = {(u, x): pair_vertex(u, x) for u in g1.vertices for x in g2.vertices}
-    arcs = [
-        Arc(f"L:{a.id}@{x}", names[a.tail, x], names[a.head, x], a.label)
-        for a in g1.arcs
-        if a.label not in shared
-        for x in g2.vertices
-    ]
-    arcs += [
-        Arc(f"R:{b.id}@{y}", names[y, b.tail], names[y, b.head], b.label)
-        for b in g2.arcs
-        if b.label not in shared
-        for y in g1.vertices
-    ]
+_Labels = tuple[list[int], list[int], set[int]]
 
-    by_label: dict[LabelPair, list[Arc]] = defaultdict(list)
-    for b in g2.arcs:
-        if b.label in shared:
-            by_label[b.label].append(b)
-    for a in g1.arcs:
-        if a.label not in shared:
-            continue
-        for b in by_label[a.label]:
-            arcs.append(Arc(f"S:{a.id}*{b.id}", names[a.tail, b.tail], names[a.head, b.head], a.label))
 
-    if len(set(names.values())) != len(names) or len({a.id for a in arcs}) != len(arcs):
+def _number_labels(g1: Graph, g2: Graph, *, synchronise: bool = True) -> _Labels:
+    """Each factor's arc labels as numbers, equal for equal labels, and the numbers both factors use.
+
+    Equal labels are often distinct objects, and comparing two of them
+    compares their Fraction weights, so each object is numbered once, by
+    identity.  Without ``synchronise`` no number counts as shared.
+    """
+    number: dict[LabelPair, int] = {}
+
+    def numbered(g: Graph) -> list[int]:
+        by_object: dict[int, int] = {}
+        out = []
+        for a in g.arcs:
+            k = by_object.get(id(a.label))
+            if k is None:
+                k = by_object[id(a.label)] = number.setdefault(a.label, len(number))
+            out.append(k)
+        return out
+
+    nums1, nums2 = numbered(g1), numbered(g2)
+    return nums1, nums2, (set(nums1) & set(nums2)) if synchronise else set()
+
+
+def _product(g1: Graph, g2: Graph, labels: _Labels, skip: Collection[int] = frozenset()) -> Graph:
+    """The intermediate product of two valid factors synchronising on ``labels``' shared numbers.
+
+    Pairs are numbered i*|V2| + j for (V1[i], V2[j]); the pairs in ``skip``
+    are left out with their outgoing arcs.  The name clash check still
+    covers every pair and every arc, skipped or not.
+    """
+    nums1, nums2, shared = labels
+    v1, v2 = g1.vertices, g2.vertices
+    row = {u: i * len(v2) for i, u in enumerate(v1)}
+    col = {x: j for j, x in enumerate(v2)}
+    names = [pair_vertex(u, x) for u in v1 for x in v2]
+    ids: list[str] = []
+    arcs: list[Arc] = []
+
+    def add(new_ids: list[str], tails: Iterable[int], heads: Iterable[int], label: LabelPair) -> None:
+        ids.extend(new_ids)
+        arcs.extend(Arc(i, names[t], names[h], label) for i, t, h in zip(new_ids, tails, heads) if t not in skip)
+
+    for a, k in zip(g1.arcs, nums1):
+        if k not in shared:
+            t, h = row[a.tail], row[a.head]
+            add([f"L:{a.id}@{x}" for x in v2], range(t, t + len(v2)), range(h, h + len(v2)), a.label)
+    by_label: dict[int, list[Arc]] = defaultdict(list)
+    for b, k in zip(g2.arcs, nums2):
+        if k in shared:
+            by_label[k].append(b)
+        else:
+            t, h = col[b.tail], col[b.head]
+            add([f"R:{b.id}@{u}" for u in v1], (r + t for r in row.values()), (r + h for r in row.values()), b.label)
+    for a, k in zip(g1.arcs, nums1):
+        if k in shared:
+            t, h, bs = row[a.tail], row[a.head], by_label[k]
+            add([f"S:{a.id}*{b.id}" for b in bs], [t + col[b.tail] for b in bs], [h + col[b.head] for b in bs], a.label)
+
+    if len(set(names)) != len(names) or len(set(ids)) != len(ids):
         raise GraphError("factor vertex or arc ids collide under pair naming")
-    return Graph(tuple(names.values()), tuple(arcs))
+    vertices = names if not skip else [n for p, n in enumerate(names) if p not in skip]
+    return Graph(tuple(vertices), tuple(arcs))
+
+
+def _factor_index(g: Graph, nums: list[int], shared: set[int], scale: int) -> tuple[list, list, list, list, list]:
+    """Per vertex of ``g``, by position: its in-degree, its private in-degree and
+    successors, and per shared label number its in-degree and successors.
+
+    Successors are given as positions times ``scale``.
+    """
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    n = len(pos)
+    indeg, priv_in = [0] * n, [0] * n
+    priv_out: list[list[int]] = [[] for _ in range(n)]
+    shared_in: list[dict[int, int]] = [{} for _ in range(n)]
+    shared_out: list[dict[int, list[int]]] = [{} for _ in range(n)]
+    for a, k in zip(g.arcs, nums):
+        t, h = pos[a.tail], pos[a.head]
+        indeg[h] += 1
+        if k in shared:
+            shared_in[h][k] = shared_in[h].get(k, 0) + 1
+            shared_out[t].setdefault(k, []).append(h * scale)
+        else:
+            priv_in[h] += 1
+            priv_out[t].append(h * scale)
+    return indeg, priv_in, priv_out, shared_in, shared_out
+
+
+def _removed_pairs(g1: Graph, g2: Graph, labels: _Labels, rng: random.Random | None) -> set[int]:
+    """The pairs, numbered as in :func:`_product`, that the removal rule deletes.
+
+    The intermediate product has, into (u, x), the private arcs into u and
+    into x, and per shared label l the l-arcs into u times the l-arcs into
+    x; its arcs out of (u, x) follow the same pattern.  So the fixpoint is
+    found from factor data alone, before any product arc exists.
+    """
+    nums1, nums2, shared = labels
+    n2 = len(g2.vertices)
+    indeg1, priv_in1, priv_out1, shared_in1, shared_out1 = _factor_index(g1, nums1, shared, n2)
+    indeg2, priv_in2, priv_out2, shared_in2, shared_out2 = _factor_index(g2, nums2, shared, 1)
+    shared_in2_by_label: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    for j, counts in enumerate(shared_in2):
+        for k, c in counts.items():
+            shared_in2_by_label[k].append((j, c))
+
+    # indeg: in-degree in the intermediate product; a pair is removable at
+    # in-degree 0 if it has an in-arc in the Cartesian product.
+    indeg: list[int] = []
+    removable: list[int] = []
+    for i, p1 in enumerate(priv_in1):
+        degs = [p1 + p2 for p2 in priv_in2]
+        for k, c1 in shared_in1[i].items():
+            for j, c2 in shared_in2_by_label[k]:
+                degs[j] += c1 * c2
+        base = len(indeg)
+        removable += [base + j for j, d in enumerate(degs) if d == 0 and (indeg1[i] or indeg2[j])]
+        indeg += degs
+
+    # Each pair enters the worklist once: when its in-degree reaches 0, and
+    # every pair with an in-arc in the intermediate product has one in the
+    # Cartesian product too.
+    removed: set[int] = set()
+    while removable:
+        if rng is None:
+            p = removable.pop()
+        else:
+            p = removable.pop(rng.randrange(len(removable)))
+        removed.add(p)
+        i, j = divmod(p, n2)
+        heads = [h + j for h in priv_out1[i]] + [p - j + h for h in priv_out2[j]]
+        out2 = shared_out2[j]
+        for k, hs1 in shared_out1[i].items():
+            hs2 = out2.get(k)
+            if hs2:
+                heads += [h1 + h2 for h1 in hs1 for h2 in hs2]
+        for q in heads:
+            indeg[q] -= 1
+            if indeg[q] == 0:
+                removable.append(q)
+    return removed
 
 
 def cartesian(g1: Graph, g2: Graph) -> Graph:
     """The Cartesian product: every factor arc copied once per opposite vertex."""
     _require_factors(g1, g2)
-    return _product(g1, g2, set())
+    return _product(g1, g2, _number_labels(g1, g2, synchronise=False))
 
 
 def intermediate(g1: Graph, g2: Graph) -> Graph:
@@ -110,7 +228,8 @@ def intermediate(g1: Graph, g2: Graph) -> Graph:
     equally-labelled factor arcs (so k parallel arcs against l produce k*l
     diagonals).  The vertex set is exactly that of the Cartesian product.
     """
-    return _product(g1, g2, synchronising_labels(g1, g2))
+    _require_factors(g1, g2)
+    return _product(g1, g2, _number_labels(g1, g2))
 
 
 def vrsp(g1: Graph, g2: Graph, *, removal_rng: random.Random | None = None) -> Graph:
@@ -119,35 +238,14 @@ def vrsp(g1: Graph, g2: Graph, *, removal_rng: random.Random | None = None) -> G
     Starting from the intermediate product, delete any vertex whose current
     in-degree is 0 although its in-degree in the Cartesian product was
     positive, together with its outgoing arcs; repeat until no such vertex
-    remains.  Removals only ever lower other in-degrees, so the fixpoint is
-    unique; ``removal_rng`` randomises the processing order to let tests
-    confirm that.
+    remains.  The removal runs on coordinate pairs, from the factors'
+    degrees and successors, before any product arc is built; then arcs are
+    built for the surviving pairs only, though the name clash check still
+    covers every pair and arc of the intermediate product.  Removals only
+    ever lower other in-degrees, so the fixpoint is unique; ``removal_rng``
+    picks each next pair at random from the worklist to let tests confirm
+    that.
     """
-    inter = _product(g1, g2, synchronising_labels(g1, g2))
-
-    # In-degree in the Cartesian product, taken per coordinate instead of
-    # materialising the product itself.
-    cart_indeg: dict[str, int] = {}
-    for u in g1.vertices:
-        for x in g2.vertices:
-            cart_indeg[pair_vertex(u, x)] = g1.in_degree(u) + g2.in_degree(x)
-
-    indeg = {v: inter.in_degree(v) for v in inter.vertices}
-    removable = [v for v in inter.vertices if indeg[v] == 0 and cart_indeg[v] > 0]
-    removed: set[str] = set()
-    while removable:
-        if removal_rng is None:
-            v = removable.pop()
-        else:
-            v = removable.pop(removal_rng.randrange(len(removable)))
-        if v in removed:
-            continue
-        removed.add(v)
-        for a in inter.out_arcs(v):
-            indeg[a.head] -= 1
-            if indeg[a.head] == 0 and cart_indeg[a.head] > 0 and a.head not in removed:
-                removable.append(a.head)
-
-    vertices = tuple(v for v in inter.vertices if v not in removed)
-    arcs = tuple(a for a in inter.arcs if a.tail not in removed)
-    return Graph(vertices, arcs)
+    _require_factors(g1, g2)
+    labels = _number_labels(g1, g2)
+    return _product(g1, g2, labels, _removed_pairs(g1, g2, labels, removal_rng))

@@ -12,9 +12,12 @@ The graph document is a small JSON object::
 
 Weights are exact tokens: an optional minus sign, digits, optionally a
 "/denominator" part ("1", "-2", "3/2").  JSON integers are accepted on input
-for convenience; floats never are.  Emission is canonical: fixed key order,
-vertices sorted, arcs sorted by id, two-space indent, trailing newline, so
-emitting a parsed document reproduces it byte for byte.
+for convenience; floats never are.  Strings that UTF-8 cannot encode (lone
+surrogates, which JSON escapes can spell) are rejected.  Emission is
+canonical: fixed key order, vertices sorted, arcs sorted by id, two-space
+indent, trailing newline, so emitting a parsed document reproduces it byte
+for byte.  The text is written directly, not through ``json.dumps``, and
+equals ``json.dumps(document, indent=2, ensure_ascii=False) + "\n"``.
 
 Family files list one vertex set per line, ids comma-separated; blank lines
 and lines starting with '#' are ignored.
@@ -26,9 +29,12 @@ import json
 import re
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring
+from typing import Iterable
 
-from .errors import GraphError, GraphFormatError, InvalidGraphError
-from .graph import Arc, Graph, LabelPair, validate
+from .errors import GraphError, GraphFormatError
+from .graph import Arc, Graph, LabelPair
 from .quotient import VertexFamily
 
 __all__ = [
@@ -145,12 +151,20 @@ def document_to_graph(doc: object, *, check: bool = True) -> Graph:
             )
         )
 
+    # Tails and heads need no check here: each is a vertex id or dangling.
+    _require_utf8(chain((name,), vertices, (a.id for a in arcs), (label.action for label in labels.values())))
     g = Graph(tuple(vertices), tuple(arcs), name)
-    if check:
-        diags = validate(g)
-        if diags:
-            raise InvalidGraphError(diags)
-    return g
+    return g.check() if check else g
+
+
+def _require_utf8(strings: Iterable[str]) -> None:
+    """Reject a string that UTF-8 cannot encode: a lone surrogate, which a JSON escape can spell."""
+    for s in strings:
+        if not s.isascii():  # a flag lookup, unlike the encoding
+            try:
+                s.encode("utf-8")
+            except UnicodeEncodeError:
+                raise GraphFormatError(f"string {s!r} cannot be encoded as UTF-8 (lone surrogate)") from None
 
 
 def _decode(text: str | bytes) -> str:
@@ -172,8 +186,30 @@ def parse_graph(text: str | bytes, *, check: bool = True) -> Graph:
 
 
 def emit_graph(g: Graph) -> str:
-    """Canonical JSON text for a graph (byte-stable across runs)."""
-    return json.dumps(graph_to_document(g), indent=2, ensure_ascii=False) + "\n"
+    """Canonical JSON text for a graph (byte-stable across runs).
+
+    Written directly: the text equals ``json.dumps(graph_to_document(g),
+    indent=2, ensure_ascii=False) + "\\n"``, whose indented form would run
+    the pure-Python encoder.  Strings are escaped by the same function.
+    """
+    enc = encode_basestring
+    # One action/weight text per label object; equal labels are often
+    # distinct objects, and comparing them would compare Fraction weights.
+    label_text: dict[int, str] = {}
+    arcs = []
+    for a in g.arcs:
+        text = label_text.get(id(a.label))
+        if text is None:
+            action, weight = enc(a.label.action), enc(weight_token(a.label.weight))
+            text = label_text[id(a.label)] = f',\n      "action": {action},\n      "weight": {weight}\n    }}'
+        arcs.append(f'{{\n      "id": {enc(a.id)},\n      "tail": {enc(a.tail)},\n      "head": {enc(a.head)}{text}')
+    return f'{{\n  "name": {enc(g.name)},\n  "vertices": {_list(map(enc, g.vertices))},\n  "arcs": {_list(arcs)}\n}}\n'
+
+
+def _list(items: Iterable[str]) -> str:
+    """A JSON list one level deep in the two-space layout, from its items' text."""
+    body = ",\n    ".join(items)
+    return f"[\n    {body}\n  ]" if body else "[]"
 
 
 def parse_family(text: str | bytes) -> VertexFamily:

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import json
 
-from vrsp import cli, decomposition
+import pytest
+
+from vrsp import cli, decomposition, serialization
+from vrsp import graph as graph_module
 from vrsp.cli import main
 from vrsp.decomposition import find_decompositions, prime_factors
 from vrsp.fixtures import fixture_path
+from vrsp.graph import validate
 from vrsp.serialization import graph_to_document, parse_graph
 
 
@@ -190,6 +194,20 @@ class TestDecompose:
         assert out == json.dumps(expected, indent=2) + "\n"
         assert sum(graph == fig1 for graph in searched) == 1
 
+    def test_validates_the_input_once(self, capsys, monkeypatch, fig1):
+        checked = []
+
+        def counting(g):
+            checked.append(g)
+            return validate(g)
+
+        # Wherever it is called from: the parser once called it by its own name.
+        monkeypatch.setattr(graph_module, "validate", counting)
+        monkeypatch.setattr(serialization, "validate", counting, raising=False)
+        code, _, _ = run(capsys, "decompose", fx("fig1.json"))
+        assert code == 0
+        assert sum(g == fig1 for g in checked) == 1
+
     def test_max_labels_flag(self, capsys):
         code, _, err = run(capsys, "decompose", fx("fig1.json"), "--max-labels", "2")
         assert code == 2 and "label" in err.lower()
@@ -229,6 +247,32 @@ class TestRobustness:
         out_file = str(tmp_path / "missing" / "out.json")
         code, _, err = run(capsys, "product", "--kind", "vrsp", fx("fig2_g1.json"), fx("fig2_g2.json"), "-o", out_file)
         assert code == 2 and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "{g}"],
+            ["dot", "{g}"],
+            ["product", "--kind", "cartesian", "{g}", "{g}"],
+            ["product", "--kind", "intermediate", "{g}", "{g}"],
+            ["product", "--kind", "vrsp", "{g}", "{g}"],
+            ["contract", "{g}", "--set", "a", "--id", "z", "-o", "{out}"],
+            ["iso", "{g}", "{g}"],
+            ["verify", "{g}", "--rows", "{rows}", "--cols", "{cols}"],
+            ["decompose", "{g}"],
+        ],
+    )
+    def test_lone_surrogate_is_input_error(self, capsys, tmp_path, argv):
+        # JSON escapes can spell a lone surrogate, which UTF-8 cannot encode.
+        path = tmp_path / "surrogate.json"
+        path.write_text(
+            '{"vertices": ["a", "\\ud800"], "arcs": ['
+            '{"id": "e", "tail": "a", "head": "\\ud800", "action": "x", "weight": "1"}]}'
+        )
+        paths = {"g": str(path), "out": str(tmp_path / "out.json"), "rows": fx("fig1.rows"), "cols": fx("fig1.cols")}
+        code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "UTF-8" in err
 
     def test_internal_error_exits_3(self, capsys, monkeypatch):
         def broken(g1, g2):

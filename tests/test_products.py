@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from conftest import L, mk, random_dag
 
+from vrsp.cli import main
 from vrsp.errors import EmptyFactorError, GraphError, InvalidGraphError
-from vrsp.fixtures import load_graph
-from vrsp.graph import Arc, Graph, label_set, sources, validate
+from vrsp.fixtures import fixture_dir, fixture_path, load_graph
+from vrsp.graph import Arc, Graph, build_graph, label_set, sources, validate
 from vrsp.isomorphism import find_isomorphism
 from vrsp.products import arc_class, cartesian, intermediate, pair_vertex, synchronising_labels, vrsp
+from vrsp.serialization import graph_to_document
 
 
 def arc_shapes(g: Graph) -> Counter:
@@ -190,3 +194,153 @@ class TestFactorsAndOutput:
             g2 = random_dag(rng, actions="pq", prefix="r", weights=(1, 2))
             assert validate(intermediate(g1, g2)) == []
             assert validate(vrsp(g1, g2)) == []
+
+
+def oracle_product(g1: Graph, g2: Graph, synchronise: bool = True) -> Graph:
+    """The Cartesian (no synchronisation) or intermediate product, from the definition."""
+    shared = label_set(g1) & label_set(g2) if synchronise else set()
+    names = {(u, x): pair_vertex(u, x) for u in g1.vertices for x in g2.vertices}
+    arcs = [
+        Arc(f"L:{a.id}@{x}", names[a.tail, x], names[a.head, x], a.label)
+        for a in g1.arcs
+        if a.label not in shared
+        for x in g2.vertices
+    ]
+    arcs += [
+        Arc(f"R:{b.id}@{y}", names[y, b.tail], names[y, b.head], b.label)
+        for b in g2.arcs
+        if b.label not in shared
+        for y in g1.vertices
+    ]
+    arcs += [
+        Arc(f"S:{a.id}*{b.id}", names[a.tail, b.tail], names[a.head, b.head], a.label)
+        for a in g1.arcs
+        if a.label in shared
+        for b in g2.arcs
+        if b.label == a.label
+    ]
+    if len(set(names.values())) != len(names) or len({a.id for a in arcs}) != len(arcs):
+        raise GraphError("factor vertex or arc ids collide under pair naming")
+    return Graph(tuple(names.values()), tuple(arcs))
+
+
+def oracle_vrsp(g1: Graph, g2: Graph) -> tuple[Graph, int]:
+    """VRSP built as the intermediate product, then pruned to the fixpoint; also the removal depth."""
+    inter = oracle_product(g1, g2)
+    cart_indeg = {pair_vertex(u, x): g1.in_degree(u) + g2.in_degree(x) for u in g1.vertices for x in g2.vertices}
+    indeg = {v: inter.in_degree(v) for v in inter.vertices}
+    depth = {v: 1 for v in inter.vertices if indeg[v] == 0 and cart_indeg[v] > 0}
+    removable = list(depth)
+    removed: set[str] = set()
+    while removable:
+        v = removable.pop()
+        removed.add(v)
+        for a in inter.out_arcs(v):
+            indeg[a.head] -= 1
+            if indeg[a.head] == 0 and cart_indeg[a.head] > 0 and a.head not in removed:
+                depth[a.head] = depth[v] + 1
+                removable.append(a.head)
+    vertices = tuple(v for v in inter.vertices if v not in removed)
+    arcs = tuple(a for a in inter.arcs if a.tail not in removed)
+    return Graph(vertices, arcs), max(depth.values(), default=0)
+
+
+def oracle_text(g: Graph) -> str:
+    return json.dumps(graph_to_document(g), indent=2, ensure_ascii=False) + "\n"
+
+
+def staggered_path(rng: random.Random, prefix: str, actions: str) -> Graph:
+    """A path of random labels with a parallel arc here and there: shared labels at
+    different positions on two such paths cut off long runs of product vertices."""
+    n = rng.randint(2, 7)
+    vertices = [f"{prefix}{i}" for i in range(n)]
+    arcs = []
+    for i in range(n - 1):
+        label = L(rng.choice(actions))
+        for _ in range(rng.choice((1, 1, 1, 2, 3))):
+            arcs.append(Arc(f"{prefix}a{len(arcs)}", vertices[i], vertices[i + 1], label))
+    return build_graph(vertices, arcs)
+
+
+class TestAgainstOracle:
+    def pairs(self):
+        rng = random.Random(67)
+        for k in range(600):
+            if k % 3 == 0:
+                yield staggered_path(rng, "l", "pqs"), staggered_path(rng, "r", "qrs")
+            else:
+                yield (
+                    random_dag(rng, max_vertices=7, max_arcs=12, actions="pqs", weights=(1, 2), prefix="l"),
+                    random_dag(rng, max_vertices=7, max_arcs=12, actions="qrs", weights=(1, Fraction(1, 2)), prefix="r"),
+                )
+
+    def test_products_equal_the_oracle(self):
+        depths = Counter()
+        diagonal_blocks = 0
+        for seed, (g1, g2) in enumerate(self.pairs()):
+            expected, depth = oracle_vrsp(g1, g2)
+            depths[depth] += 1
+            assert cartesian(g1, g2) == oracle_product(g1, g2, synchronise=False)
+            inter = intermediate(g1, g2)
+            assert inter == oracle_product(g1, g2)
+            assert vrsp(g1, g2) == expected
+            assert vrsp(g1, g2, removal_rng=random.Random(seed)) == expected
+            diagonal_blocks += any(n > 1 for n in arc_shapes(inter).values())
+        # The seeded pairs reach removal chains several levels deep and k*l diagonal blocks.
+        assert max(depths) >= 6 and sum(n for d, n in depths.items() if d >= 3) > 100
+        assert depths[0] > 100 and diagonal_blocks > 200
+
+    def test_diagonal_blocks_feed_removal(self):
+        # (v, t) is reached only by the 2*3 diagonals; (v, s) and (u, t) lose every in-arc.
+        g1 = mk("u v w", [("e1", "u", "v", "a"), ("e2", "u", "v", "a"), ("e3", "v", "w", "b")])
+        g2 = mk("s t", [("f1", "s", "t", "a"), ("f2", "s", "t", "a"), ("f3", "s", "t", "a")])
+        expected, depth = oracle_vrsp(g1, g2)
+        assert vrsp(g1, g2) == expected and depth == 2
+        assert Counter(a.tail for a in expected.arcs)[pair_vertex("u", "s")] == 6
+
+    @pytest.mark.parametrize(
+        "g1, g2, clash",
+        [
+            # ("a", "b,c") and ("a,b", "c") are both named "(a,b,c)".
+            (
+                mk("p a a,b r", [("e1", "p", "a", "s"), ("e2", "p", "a,b", "s"), ("e3", "p", "r", "t")]),
+                mk("q b,c c w", [("f1", "q", "b,c", "t"), ("f2", "q", "c", "t"), ("f3", "q", "w", "s")]),
+                [("a", "b,c"), ("a,b", "c")],
+            ),
+            # "L:e@x" copied at "y" and "L:e" copied at "x@y" are both "L:e@x@y".
+            (
+                mk("p a b r", [("e", "a", "b", "u"), ("e@x", "a", "b", "u"), ("g1", "p", "a", "s"), ("g2", "p", "r", "t")]),
+                mk("q y x@y w", [("f1", "q", "y", "t"), ("f2", "q", "x@y", "t"), ("f3", "q", "w", "s")]),
+                [("a", "y"), ("a", "x@y")],
+            ),
+        ],
+    )
+    def test_collision_among_removed_pairs_is_still_an_error(self, g1, g2, clash):
+        # s and t synchronise but never meet, so the clashing pairs lose every in-arc.
+        for op in (oracle_vrsp, vrsp):
+            with pytest.raises(GraphError, match="collide"):
+                op(g1, g2)
+        # With the clash renamed away, the same pairs are indeed removed.
+        renamed = {u: u.replace(",", ";").replace("@", "#") for u in g1.vertices}
+        g1 = Graph(
+            tuple(renamed.values()),
+            tuple(Arc(a.id.replace("@", "#"), renamed[a.tail], renamed[a.head], a.label) for a in g1.arcs),
+        )
+        survivors = vrsp(g1, g2).vertices
+        assert survivors == oracle_vrsp(g1, g2)[0].vertices
+        assert all(pair_vertex(renamed[u], x) not in survivors for u, x in clash)
+
+
+class TestCliAgainstOracle:
+    @pytest.mark.parametrize("kind", ["cartesian", "intermediate", "vrsp"])
+    def test_every_fixture_pair(self, capsys, kind):
+        names = sorted(p.stem for p in fixture_dir().glob("*.json"))
+        for left in names:
+            for right in names:
+                g1, g2 = load_graph(left), load_graph(right)
+                if kind == "vrsp":
+                    expected = oracle_vrsp(g1, g2)[0]
+                else:
+                    expected = oracle_product(g1, g2, synchronise=kind == "intermediate")
+                code = main(["product", "--kind", kind, str(fixture_path(f"{left}.json")), str(fixture_path(f"{right}.json"))])
+                assert (code, capsys.readouterr().out) == (0, oracle_text(expected)), (left, right)

@@ -9,14 +9,17 @@ from fractions import Fraction
 import pytest
 from conftest import mk, random_dag
 
+from vrsp import graph as graph_module
 from vrsp.cli import main
 from vrsp.errors import GraphFormatError, InvalidGraphError
+from vrsp.graph import Arc, Graph, LabelPair, validate
 from vrsp.fixtures import fixture_path, load_graph
 from vrsp.quotient import VertexFamily
 from vrsp.serialization import (
     emit_dot,
     emit_family,
     emit_graph,
+    graph_to_document,
     parse_family,
     parse_graph,
     parse_weight,
@@ -58,6 +61,83 @@ class TestGraphRoundTrip:
         g = mk("u v", [("e1", "u", "v", "a", Fraction(3, 2))])
         again = parse_graph(emit_graph(g))
         assert again.arcs[0].label.weight == Fraction(3, 2)
+
+
+def json_dumps_oracle(g) -> str:
+    """The canonical text as the standard library's indented encoder writes it."""
+    return json.dumps(graph_to_document(g), indent=2, ensure_ascii=False) + "\n"
+
+
+# Quotes, backslashes, every control character, DEL, non-ASCII, the JSON
+# line separators U+2028/U+2029 and astral characters.
+AWKWARD = ['"', "\\", *map(chr, range(0x20)), "\x7f", "é", "ß", "\u2028", "\u2029", "\U0001F600", "\U00010000", "a", "b"]
+
+
+def awkward_text(rng: random.Random) -> str:
+    return "".join(rng.choice(AWKWARD) for _ in range(rng.randint(1, 6)))
+
+
+class TestEmitMatchesJsonDumps:
+    def test_awkward_strings(self):
+        rng = random.Random(97)
+        for _ in range(300):
+            n = rng.randint(0, 6)
+            vertices = list(dict.fromkeys(awkward_text(rng) for _ in range(n)))
+            arcs = []
+            for k in range(rng.randint(0, 8) if len(vertices) > 1 else 0):
+                tail, head = rng.sample(vertices, 2)
+                weight = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7)))
+                arcs.append(Arc(awkward_text(rng) + str(k), tail, head, LabelPair(awkward_text(rng), weight)))
+            name = rng.choice(["", awkward_text(rng)])
+            g = Graph(tuple(vertices), tuple(arcs), name)
+            assert emit_graph(g) == json_dumps_oracle(g)
+
+    def test_empty_graphs(self):
+        for g in (Graph((), ()), Graph(("u",), ()), Graph((), (), "named")):
+            assert emit_graph(g) == json_dumps_oracle(g)
+        assert emit_graph(Graph((), ())) == '{\n  "name": "",\n  "vertices": [],\n  "arcs": []\n}\n'
+
+    def test_random_and_bundled_graphs(self):
+        rng = random.Random(101)
+        graphs = [load_graph(name) for name in ("fig1", "fig2", "fig3_g1")]
+        graphs += [random_dag(rng, actions="pq", weights=(1, -2, Fraction(3, 2), Fraction(-1, 3))) for _ in range(50)]
+        for g in graphs:
+            assert emit_graph(g) == json_dumps_oracle(g)
+
+
+class TestUndecodableStrings:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"name": "\ud800", "vertices": [], "arcs": []},
+            {"vertices": ["a", "\udfff"], "arcs": []},
+            {"vertices": ["a", "b"], "arcs": [{"id": "e\ud83d", "tail": "a", "head": "b", "action": "x", "weight": "1"}]},
+            {"vertices": ["a", "b"], "arcs": [{"id": "e", "tail": "a", "head": "b", "action": "\udc80", "weight": "1"}]},
+        ],
+    )
+    @pytest.mark.parametrize("check", [True, False])
+    def test_lone_surrogates_rejected(self, doc, check):
+        # The JSON text is ASCII; only its escapes spell the lone surrogates.
+        with pytest.raises(GraphFormatError, match="UTF-8"):
+            parse_graph(json.dumps(doc), check=check)
+
+    def test_surrogate_pairs_are_characters(self):
+        g = parse_graph('{"vertices": ["\\ud83d\\ude00"], "arcs": []}')
+        assert g.vertices == ("\U0001F600",)
+
+
+class TestValidatedOnce:
+    def test_parsed_graph_carries_its_check(self, monkeypatch):
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return validate(g)
+
+        monkeypatch.setattr(graph_module, "validate", counting)
+        g = parse_graph(fixture_path("fig1.json").read_bytes())
+        assert g.check() is g and g.check() is g
+        assert len(calls) == 1
 
 
 class TestParseErrors:
