@@ -341,9 +341,8 @@ def label_classes(g: Graph) -> list[tuple[LabelPair, ...]]:
     factor, so each side of an accepted bipartition is a union of classes.
     Classes are returned sorted, each sorted.
     """
-    # Labels are numbered in one pass, since hashing a LabelPair hashes its
-    # Fraction weight.  out_nb[v][a] / in_nb[v][a]: heads / tails of the
-    # arcs labelled a at v.
+    # Labels are numbered for the union-find.  out_nb[v][a] / in_nb[v][a]:
+    # heads / tails of the arcs labelled a at v.
     number: dict[LabelPair, int] = {}
     out_nb: dict[str, dict[int, set[str]]] = {v: {} for v in g.vertices}
     in_nb: dict[str, dict[int, set[str]]] = {v: {} for v in g.vertices}

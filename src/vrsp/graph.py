@@ -17,7 +17,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, total_ordering
 from typing import Iterable
 
 from .errors import InvalidGraphError, UnknownVertexError
@@ -41,35 +41,50 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
+_LABELS: dict[tuple[str, int, int], LabelPair] = {}
+
+
+@total_ordering
+@dataclass(frozen=True, eq=False, init=False)
 class LabelPair:
     """An arc label: an action name plus an exact weight.
 
-    Two label pairs are equal iff both components are equal; weights are
-    exact rationals, never floats, so equality never suffers rounding.
+    Labels are interned: equal (action, weight) pairs are always one object,
+    so equality and hashing are by identity and never compare or hash the
+    Fraction weight.  Weights are exact rationals, never floats, so equality
+    never suffers rounding.  Labels order by (action, weight).  The intern
+    table keeps every distinct label for the life of the process.
     """
 
     action: str
     weight: Fraction = Fraction(1)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.action, str) or not self.action:
+    def __new__(cls, action: str, weight: int | Fraction = 1) -> LabelPair:
+        if not isinstance(action, str) or not action:
             raise ValueError("label action must be a non-empty string")
-        if isinstance(self.weight, bool) or not isinstance(self.weight, (int, Fraction)):
-            raise ValueError(f"label weight must be an exact integer or rational, got {self.weight!r}")
-        object.__setattr__(self, "weight", Fraction(self.weight))
+        if isinstance(weight, bool) or not isinstance(weight, (int, Fraction)):
+            raise ValueError(f"label weight must be an exact integer or rational, got {weight!r}")
+        # Both an int and a Fraction give their lowest terms here, and the
+        # key hashes no Fraction.
+        key = (action, weight.numerator, weight.denominator)
+        label = _LABELS.get(key)
+        if label is None:
+            label = object.__new__(cls)
+            object.__setattr__(label, "action", action)
+            object.__setattr__(label, "weight", Fraction(weight))
+            # setdefault is atomic, so racing threads still share one object.
+            label = _LABELS.setdefault(key, label)
+        return label
 
-    @cached_property
-    def _hash(self) -> int:
-        # Hashing the Fraction weight is slow, and labels are dict keys
-        # everywhere; labels that are never hashed never pay for it.
-        return hash((self.action, self.weight))
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, LabelPair):
+            return NotImplemented
+        if self.action != other.action:
+            return self.action < other.action
+        return self.weight < other.weight
 
     def __reduce__(self):
-        # Rebuild rather than restore the cached hash: str hashes differ between processes.
+        # Rebuild through the constructor, so that the copy is the interned label.
         return LabelPair, (self.action, self.weight)
 
     def __str__(self) -> str:
@@ -121,28 +136,24 @@ class Graph:
         return frozenset(self.vertices)
 
     @cached_property
-    def _out(self) -> dict[str, tuple[Arc, ...]]:
+    def _adjacency(self) -> tuple[dict[str, tuple[Arc, ...]], dict[str, tuple[Arc, ...]]]:
+        """Out-arcs and in-arcs per vertex, both from one pass over the arcs."""
         out: dict[str, list[Arc]] = {v: [] for v in self.vertices}
+        inc: dict[str, list[Arc]] = {v: [] for v in self.vertices}
         for a in self.arcs:
             if a.tail in out:
                 out[a.tail].append(a)
-        return {v: tuple(arcs) for v, arcs in out.items()}
-
-    @cached_property
-    def _in(self) -> dict[str, tuple[Arc, ...]]:
-        inc: dict[str, list[Arc]] = {v: [] for v in self.vertices}
-        for a in self.arcs:
             if a.head in inc:
                 inc[a.head].append(a)
-        return {v: tuple(arcs) for v, arcs in inc.items()}
+        return {v: tuple(arcs) for v, arcs in out.items()}, {v: tuple(arcs) for v, arcs in inc.items()}
 
     def out_arcs(self, v: str) -> tuple[Arc, ...]:
         self._require(v)
-        return self._out[v]
+        return self._adjacency[0][v]
 
     def in_arcs(self, v: str) -> tuple[Arc, ...]:
         self._require(v)
-        return self._in[v]
+        return self._adjacency[1][v]
 
     def out_degree(self, v: str) -> int:
         return len(self.out_arcs(v))

@@ -19,6 +19,9 @@ its factors on entry (a graph is validated at most once); products of valid
 factors are valid by construction, so only clashes of the generated names
 are checked, over every pair and arc, removed or not.
 
+Labels are interned (see :class:`vrsp.graph.LabelPair`), so the builder
+keys its per-label tables on the labels themselves.
+
 Product vertices are named "(u,x)" after their coordinates; arc ids encode
 provenance ("L:"/"R:" copies with the coordinate they were copied at, "S:"
 diagonals with both source arc ids).
@@ -69,40 +72,13 @@ def _require_factors(g1: Graph, g2: Graph) -> None:
     g2.check()
 
 
-_Labels = tuple[list[int], list[int], set[int]]
-
-
-def _number_labels(g1: Graph, g2: Graph, *, synchronise: bool = True) -> _Labels:
-    """Each factor's arc labels as numbers, equal for equal labels, and the numbers both factors use.
-
-    Equal labels are often distinct objects, and comparing two of them
-    compares their Fraction weights, so each object is numbered once, by
-    identity.  Without ``synchronise`` no number counts as shared.
-    """
-    number: dict[LabelPair, int] = {}
-
-    def numbered(g: Graph) -> list[int]:
-        by_object: dict[int, int] = {}
-        out = []
-        for a in g.arcs:
-            k = by_object.get(id(a.label))
-            if k is None:
-                k = by_object[id(a.label)] = number.setdefault(a.label, len(number))
-            out.append(k)
-        return out
-
-    nums1, nums2 = numbered(g1), numbered(g2)
-    return nums1, nums2, (set(nums1) & set(nums2)) if synchronise else set()
-
-
-def _product(g1: Graph, g2: Graph, labels: _Labels, skip: Collection[int] = frozenset()) -> Graph:
-    """The intermediate product of two valid factors synchronising on ``labels``' shared numbers.
+def _product(g1: Graph, g2: Graph, shared: Collection[LabelPair], skip: Collection[int] = frozenset()) -> Graph:
+    """The intermediate product of two valid factors synchronising on the ``shared`` labels.
 
     Pairs are numbered i*|V2| + j for (V1[i], V2[j]); the pairs in ``skip``
     are left out with their outgoing arcs.  The name clash check still
     covers every pair and every arc, skipped or not.
     """
-    nums1, nums2, shared = labels
     v1, v2 = g1.vertices, g2.vertices
     row = {u: i * len(v2) for i, u in enumerate(v1)}
     col = {x: j for j, x in enumerate(v2)}
@@ -114,20 +90,20 @@ def _product(g1: Graph, g2: Graph, labels: _Labels, skip: Collection[int] = froz
         ids.extend(new_ids)
         arcs.extend(Arc(i, names[t], names[h], label) for i, t, h in zip(new_ids, tails, heads) if t not in skip)
 
-    for a, k in zip(g1.arcs, nums1):
-        if k not in shared:
+    for a in g1.arcs:
+        if a.label not in shared:
             t, h = row[a.tail], row[a.head]
             add([f"L:{a.id}@{x}" for x in v2], range(t, t + len(v2)), range(h, h + len(v2)), a.label)
-    by_label: dict[int, list[Arc]] = defaultdict(list)
-    for b, k in zip(g2.arcs, nums2):
-        if k in shared:
-            by_label[k].append(b)
+    by_label: dict[LabelPair, list[Arc]] = defaultdict(list)
+    for b in g2.arcs:
+        if b.label in shared:
+            by_label[b.label].append(b)
         else:
             t, h = col[b.tail], col[b.head]
             add([f"R:{b.id}@{u}" for u in v1], (r + t for r in row.values()), (r + h for r in row.values()), b.label)
-    for a, k in zip(g1.arcs, nums1):
-        if k in shared:
-            t, h, bs = row[a.tail], row[a.head], by_label[k]
+    for a in g1.arcs:
+        if a.label in shared:
+            t, h, bs = row[a.tail], row[a.head], by_label[a.label]
             add([f"S:{a.id}*{b.id}" for b in bs], [t + col[b.tail] for b in bs], [h + col[b.head] for b in bs], a.label)
 
     if len(set(names)) != len(names) or len(set(ids)) != len(ids):
@@ -136,9 +112,9 @@ def _product(g1: Graph, g2: Graph, labels: _Labels, skip: Collection[int] = froz
     return Graph(tuple(vertices), tuple(arcs))
 
 
-def _factor_index(g: Graph, nums: list[int], shared: set[int], scale: int) -> tuple[list, list, list, list, list]:
+def _factor_index(g: Graph, shared: Collection[LabelPair], scale: int) -> tuple[list, list, list, list, list]:
     """Per vertex of ``g``, by position: its in-degree, its private in-degree and
-    successors, and per shared label number its in-degree and successors.
+    successors, and per shared label its in-degree and successors.
 
     Successors are given as positions times ``scale``.
     """
@@ -146,21 +122,21 @@ def _factor_index(g: Graph, nums: list[int], shared: set[int], scale: int) -> tu
     n = len(pos)
     indeg, priv_in = [0] * n, [0] * n
     priv_out: list[list[int]] = [[] for _ in range(n)]
-    shared_in: list[dict[int, int]] = [{} for _ in range(n)]
-    shared_out: list[dict[int, list[int]]] = [{} for _ in range(n)]
-    for a, k in zip(g.arcs, nums):
+    shared_in: list[dict[LabelPair, int]] = [{} for _ in range(n)]
+    shared_out: list[dict[LabelPair, list[int]]] = [{} for _ in range(n)]
+    for a in g.arcs:
         t, h = pos[a.tail], pos[a.head]
         indeg[h] += 1
-        if k in shared:
-            shared_in[h][k] = shared_in[h].get(k, 0) + 1
-            shared_out[t].setdefault(k, []).append(h * scale)
+        if a.label in shared:
+            shared_in[h][a.label] = shared_in[h].get(a.label, 0) + 1
+            shared_out[t].setdefault(a.label, []).append(h * scale)
         else:
             priv_in[h] += 1
             priv_out[t].append(h * scale)
     return indeg, priv_in, priv_out, shared_in, shared_out
 
 
-def _removed_pairs(g1: Graph, g2: Graph, labels: _Labels, rng: random.Random | None) -> set[int]:
+def _removed_pairs(g1: Graph, g2: Graph, shared: Collection[LabelPair], rng: random.Random | None) -> set[int]:
     """The pairs, numbered as in :func:`_product`, that the removal rule deletes.
 
     The intermediate product has, into (u, x), the private arcs into u and
@@ -168,11 +144,10 @@ def _removed_pairs(g1: Graph, g2: Graph, labels: _Labels, rng: random.Random | N
     x; its arcs out of (u, x) follow the same pattern.  So the fixpoint is
     found from factor data alone, before any product arc exists.
     """
-    nums1, nums2, shared = labels
     n2 = len(g2.vertices)
-    indeg1, priv_in1, priv_out1, shared_in1, shared_out1 = _factor_index(g1, nums1, shared, n2)
-    indeg2, priv_in2, priv_out2, shared_in2, shared_out2 = _factor_index(g2, nums2, shared, 1)
-    shared_in2_by_label: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    indeg1, priv_in1, priv_out1, shared_in1, shared_out1 = _factor_index(g1, shared, n2)
+    indeg2, priv_in2, priv_out2, shared_in2, shared_out2 = _factor_index(g2, shared, 1)
+    shared_in2_by_label: dict[LabelPair, list[tuple[int, int]]] = defaultdict(list)
     for j, counts in enumerate(shared_in2):
         for k, c in counts.items():
             shared_in2_by_label[k].append((j, c))
@@ -217,7 +192,7 @@ def _removed_pairs(g1: Graph, g2: Graph, labels: _Labels, rng: random.Random | N
 def cartesian(g1: Graph, g2: Graph) -> Graph:
     """The Cartesian product: every factor arc copied once per opposite vertex."""
     _require_factors(g1, g2)
-    return _product(g1, g2, _number_labels(g1, g2, synchronise=False))
+    return _product(g1, g2, ())
 
 
 def intermediate(g1: Graph, g2: Graph) -> Graph:
@@ -228,8 +203,7 @@ def intermediate(g1: Graph, g2: Graph) -> Graph:
     equally-labelled factor arcs (so k parallel arcs against l produce k*l
     diagonals).  The vertex set is exactly that of the Cartesian product.
     """
-    _require_factors(g1, g2)
-    return _product(g1, g2, _number_labels(g1, g2))
+    return _product(g1, g2, synchronising_labels(g1, g2))
 
 
 def vrsp(g1: Graph, g2: Graph, *, removal_rng: random.Random | None = None) -> Graph:
@@ -246,6 +220,5 @@ def vrsp(g1: Graph, g2: Graph, *, removal_rng: random.Random | None = None) -> G
     picks each next pair at random from the worklist to let tests confirm
     that.
     """
-    _require_factors(g1, g2)
-    labels = _number_labels(g1, g2)
-    return _product(g1, g2, labels, _removed_pairs(g1, g2, labels, removal_rng))
+    shared = synchronising_labels(g1, g2)
+    return _product(g1, g2, shared, _removed_pairs(g1, g2, shared, removal_rng))

@@ -49,7 +49,7 @@ __all__ = [
     "emit_dot",
 ]
 
-_WEIGHT_RE = re.compile(r"^-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?$")
+_WEIGHT_RE = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?")
 
 
 def parse_weight(token: object) -> Fraction:
@@ -58,7 +58,7 @@ def parse_weight(token: object) -> Fraction:
         raise GraphFormatError(f"weight must be an exact number token, got {token!r}")
     if isinstance(token, int):
         return Fraction(token)
-    if isinstance(token, str) and _WEIGHT_RE.match(token):
+    if isinstance(token, str) and _WEIGHT_RE.fullmatch(token):
         return Fraction(token)
     raise GraphFormatError(f"weight must be an integer or 'p/q' token, got {token!r}")
 
@@ -114,9 +114,9 @@ def document_to_graph(doc: object, *, check: bool = True) -> Graph:
         raise GraphFormatError(f"repeated vertex ids: {', '.join(repr(v) for v in repeated)}")
     raw_arcs = _expect(doc.get("arcs"), list, "'arcs'")
 
-    # One LabelPair per distinct label, so that each weight is parsed once and
-    # label lookups hit the identity fast path.  The key carries the token's
-    # type because True == 1; unhashable tokens get no key and are rejected.
+    # One label per distinct (action, token), so that each weight token is
+    # parsed once.  The key carries the token's type because True == 1;
+    # unhashable tokens get no key and are rejected.
     labels: dict[object, LabelPair] = {}
     arcs = []
     for i, entry in enumerate(raw_arcs):
@@ -193,15 +193,13 @@ def emit_graph(g: Graph) -> str:
     the pure-Python encoder.  Strings are escaped by the same function.
     """
     enc = encode_basestring
-    # One action/weight text per label object; equal labels are often
-    # distinct objects, and comparing them would compare Fraction weights.
-    label_text: dict[int, str] = {}
+    label_text: dict[LabelPair, str] = {}
     arcs = []
     for a in g.arcs:
-        text = label_text.get(id(a.label))
+        text = label_text.get(a.label)
         if text is None:
             action, weight = enc(a.label.action), enc(weight_token(a.label.weight))
-            text = label_text[id(a.label)] = f',\n      "action": {action},\n      "weight": {weight}\n    }}'
+            text = label_text[a.label] = f',\n      "action": {action},\n      "weight": {weight}\n    }}'
         arcs.append(f'{{\n      "id": {enc(a.id)},\n      "tail": {enc(a.tail)},\n      "head": {enc(a.head)}{text}')
     return f'{{\n  "name": {enc(g.name)},\n  "vertices": {_list(map(enc, g.vertices))},\n  "arcs": {_list(arcs)}\n}}\n'
 
@@ -213,7 +211,12 @@ def _list(items: Iterable[str]) -> str:
 
 
 def parse_family(text: str | bytes) -> VertexFamily:
-    """Parse a family file: one comma-separated vertex set per line."""
+    """Parse a family file: one comma-separated vertex set per line.
+
+    Ids are stripped of surrounding whitespace, and a line starting with '#'
+    is a comment, so an id that contains ',' or a line break, starts with
+    '#', is empty, or has whitespace at either end cannot be written here.
+    """
     sets = []
     for lineno, line in enumerate(_decode(text).splitlines(), start=1):
         line = line.strip()
@@ -232,7 +235,16 @@ def parse_family(text: str | bytes) -> VertexFamily:
 
 
 def emit_family(fam: VertexFamily) -> str:
-    """Family file text: one sorted comma-separated set per line."""
+    """Family file text: one sorted comma-separated set per line.
+
+    Raises ``GraphFormatError`` naming the first id, in sorted order, that
+    :func:`parse_family` would not read back as itself: one that contains
+    ',' or a line break, starts with '#', is empty, or has whitespace at
+    either end.
+    """
+    for v in sorted(fam.union()):
+        if "," in v or v.startswith("#") or v.strip().splitlines() != [v]:
+            raise GraphFormatError(f"vertex id {v!r} cannot be written to a family file")
     return "".join(",".join(sorted(s)) + "\n" for s in fam.sets)
 
 

@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import os
+import pickle
 import random
 import subprocess
 import sys
+import threading
+import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from conftest import L, mk, random_dag
 
+from vrsp.decomposition import find_decompositions
 from vrsp.errors import InvalidGraphError, UnknownVertexError
 from vrsp.graph import (
     Arc,
@@ -28,6 +35,8 @@ from vrsp.graph import (
     validate,
     weak_components,
 )
+from vrsp.products import vrsp
+from vrsp.serialization import emit_graph
 
 
 def brute_longest_path_to(g: Graph, target: str) -> int:
@@ -55,7 +64,7 @@ class TestLabelPair:
             LabelPair("a", 0.5)  # type: ignore[arg-type]
 
     def test_pickled_labels_hash_afresh_in_another_process(self):
-        # The hash is cached, and str hashes differ between processes.
+        # Labels hash by identity, so an unpickled label must be the one its process already holds.
         make = "from fractions import Fraction; from vrsp.graph import LabelPair; labels = {LabelPair('a', Fraction(3, 2)), LabelPair('b')}"
         dump = make + "; import pickle, sys; sys.stdout.buffer.write(pickle.dumps(labels))"
         load = make + "; import pickle, sys; sys.exit(pickle.loads(sys.stdin.buffer.read()) != labels)"
@@ -65,6 +74,111 @@ class TestLabelPair:
             return subprocess.run([sys.executable, "-c", code], input=data, env=env, capture_output=True, check=True, timeout=60).stdout
 
         child(load, "2", child(dump, "1"))
+
+    def test_equal_labels_are_one_object(self):
+        label = LabelPair("a", 1)
+        assert LabelPair("a", Fraction(2, 2)) is label
+        assert LabelPair(action="a", weight=Fraction(1)) is label
+        assert LabelPair("a") is label
+        assert LabelPair("a", 2) is not label and LabelPair("b") is not label
+
+    def test_copies_are_the_interned_label(self):
+        label = LabelPair("a", Fraction(3, 2))
+        assert copy.copy(label) is label
+        assert copy.deepcopy(label) is label
+        assert copy.deepcopy([label, label]) == [label, label]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(label, protocol)) is label
+        assert dataclasses.replace(label) is label
+        assert dataclasses.replace(label, weight=Fraction(6, 4)) is label
+        assert dataclasses.replace(label, action="b") is LabelPair("b", Fraction(3, 2))
+
+    def test_threads_racing_on_new_labels_share_one_object(self):
+        prefix = f"race{time.perf_counter_ns()}-"  # actions no earlier call has interned
+        results: list[list[LabelPair]] = [[] for _ in range(8)]
+        start = threading.Barrier(len(results))
+
+        def make(out: list[LabelPair]) -> None:
+            start.wait(timeout=30)
+            out.extend(LabelPair(f"{prefix}{k}", Fraction(k, 7)) for k in range(2000))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=make, args=(out,)) for out in results]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(len(out) == 2000 for out in results)
+        for labels in zip(*results):
+            assert all(l is labels[0] for l in labels)
+
+    def test_dataclass_surface(self):
+        label = LabelPair("a", Fraction(1, 2))
+        assert repr(label) == "LabelPair(action='a', weight=Fraction(1, 2))"
+        assert [f.name for f in dataclasses.fields(label)] == ["action", "weight"]
+        assert isinstance(label.weight, Fraction) and isinstance(LabelPair("a", 3).weight, Fraction)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            label.action = "b"  # type: ignore[misc]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            label.weight = Fraction(1)  # type: ignore[misc]
+
+    def test_order_matches_the_tuple_order(self):
+        rng = random.Random(41)
+        labels = [LabelPair(rng.choice("abc"), Fraction(rng.randint(-3, 3), rng.randint(1, 3))) for _ in range(40)]
+
+        def key(l: LabelPair) -> tuple:
+            return (l.action, l.weight)
+
+        for x in labels:
+            for y in labels:
+                assert (x < y, x <= y, x > y, x >= y) == (key(x) < key(y), key(x) <= key(y), key(x) > key(y), key(x) >= key(y))
+                assert (x == y) == (key(x) == key(y))
+        assert [key(l) for l in sorted(labels)] == sorted(map(key, labels))
+        with pytest.raises(TypeError):
+            LabelPair("a") < ("a", 1)  # type: ignore[operator]
+
+    def test_composition_compares_and_hashes_no_fraction(self, monkeypatch):
+        # Every arc gets a label from its own constructor call, and no two
+        # labels share an action, so no sort ever looks at a weight.
+        def grid(prefix: str, rows: int, cols: int) -> Graph:
+            vertices = [f"{prefix}{i}.{j}" for i in range(rows) for j in range(cols)]
+            arcs = []
+            for i in range(rows):
+                for j in range(cols):
+                    if j + 1 < cols:
+                        arcs.append(Arc(f"h{i}.{j}", f"{prefix}{i}.{j}", f"{prefix}{i}.{j + 1}", LabelPair(f"h{j}", Fraction(j + 1, 2))))
+                    if i + 1 < rows:
+                        arcs.append(Arc(f"v{i}.{j}", f"{prefix}{i}.{j}", f"{prefix}{i + 1}.{j}", LabelPair(f"v{i}", Fraction(i + 2, 3))))
+            return build_graph(vertices, arcs)
+
+        def path(prefix: str, actions: str) -> Graph:
+            vertices = [f"{prefix}{i}" for i in range(len(actions) + 1)]
+            arcs = [Arc(f"{prefix}e{i}", vertices[i], vertices[i + 1], LabelPair(f"act{a}", Fraction(7, 3))) for i, a in enumerate(actions)]
+            return build_graph(vertices, arcs)
+
+        g = grid("g", 3, 4)
+        a, b, c = path("a", "psxq"), path("b", "syrt"), path("c", "xytu")
+        calls: Counter = Counter()
+        for name in ("__eq__", "__hash__"):
+            real = getattr(Fraction, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(Fraction, name, counted)
+
+        found = find_decompositions(g)
+        y = vrsp(vrsp(a, b), c)
+        emit_graph(g), emit_graph(y)
+        monkeypatch.undo()
+        assert calls == Counter()
+        assert len(found) == 1 and len(y.arcs) > 0
 
 
 class TestValidate:

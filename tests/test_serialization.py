@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,15 @@ class TestWeights:
     def test_rejects_inexact_or_malformed(self, bad):
         with pytest.raises(GraphFormatError):
             parse_weight(bad)
+
+    def test_trailing_newline_is_not_a_token(self, tmp_path, capsys):
+        with pytest.raises(GraphFormatError):
+            parse_weight("1\n")
+        doc = {"vertices": ["u", "v"], "arcs": [{"id": "e1", "tail": "u", "head": "v", "action": "a", "weight": "2\n"}]}
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        assert "arc 'e1': weight must be" in capsys.readouterr().err
 
 
 class TestGraphRoundTrip:
@@ -202,11 +212,34 @@ class TestLabelInterning:
         assert labels[0] is labels[2]
         assert len(set(labels)) == 1 and len({hash(l) for l in labels}) == 1
 
+    def test_separate_documents_share_label_objects(self):
+        first = parse_graph(json.dumps(self.doc("3/2", 1)))
+        second = parse_graph(json.dumps(self.doc(1, "6/4")))
+        assert first.arcs[0].label is second.arcs[1].label is LabelPair("a", Fraction(3, 2))
+        assert first.arcs[1].label is second.arcs[0].label
+
 
 class TestFamilies:
     def test_round_trip(self):
         fam = VertexFamily.of([{"u1", "u2"}, {"u3"}])
         assert parse_family(emit_family(fam)) == fam
+
+    def test_awkward_but_writable_ids_round_trip(self):
+        fam = VertexFamily.of([{"a b", "x#y", "(u1)"}, {"é", "!#"}, {"tab\tinside"}])
+        assert parse_family(emit_family(fam)) == fam
+
+    @pytest.mark.parametrize(
+        "bad", ["(u1,x1)", "b, c", ",", "#a", " a", "a ", "\ta", "a\nb", "a\rb", "a\u2028b", "a\x1cb", "a\n", ""]
+    )
+    def test_unwritable_id_is_named(self, bad):
+        fam = VertexFamily.of([{"u1", "u2"}, {bad, "zz"}])
+        with pytest.raises(GraphFormatError, match=re.escape(repr(bad))):
+            emit_family(fam)
+        unchecked = "".join(",".join(sorted(s)) + "\n" for s in fam.sets)
+        try:
+            assert parse_family(unchecked) != fam
+        except GraphFormatError:
+            pass
 
     def test_comments_and_blanks_ignored(self):
         fam = parse_family("# top row\nu1,u2\n\nu3\n")
