@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, total_ordering
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import InvalidGraphError, UnknownVertexError
 
@@ -91,9 +91,12 @@ class LabelPair:
         return f"{self.action},{self.weight}"
 
 
-@dataclass(frozen=True, order=True)
-class Arc:
-    """A directed arc with its own identity, endpoints, and label."""
+class Arc(NamedTuple):
+    """A directed arc with its own identity, endpoints, and label.
+
+    A named tuple, so arcs compare, order and hash as the tuple
+    (id, tail, head, label), and that order is a graph's canonical arc order.
+    """
 
     id: str
     tail: str
@@ -129,7 +132,7 @@ class Graph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))
-        object.__setattr__(self, "arcs", tuple(sorted(self.arcs, key=lambda a: (a.id, a.tail, a.head, a.label))))
+        object.__setattr__(self, "arcs", tuple(sorted(self.arcs)))
 
     @cached_property
     def vertex_set(self) -> frozenset[str]:
@@ -177,6 +180,18 @@ class Graph:
         if self._diagnostics:
             raise InvalidGraphError(self._diagnostics)
         return self
+
+
+def _valid_by_construction(g: Graph, *inputs: Graph) -> Graph:
+    """Return ``g``, recorded as valid if every graph in ``inputs`` has passed ``check``.
+
+    For an operation whose result is valid whenever its inputs are: a
+    product of its factors, a quotient of its graph.  Then ``g.check()``
+    does not validate ``g`` again.
+    """
+    if all("_diagnostics" in h.__dict__ and not h._diagnostics for h in inputs):
+        g.__dict__["_diagnostics"] = []
+    return g
 
 
 def build_graph(vertices: Iterable[str], arcs: Iterable[Arc], name: str = "") -> Graph:

@@ -4,11 +4,14 @@ Two graphs are isomorphic when some vertex bijection carries, for every
 ordered vertex pair, the multiset of arc labels between the pair onto the
 multiset between the image pair.  Arc and vertex ids never matter.
 
-:func:`find_isomorphism` is the practical matcher: vertices are grouped by
-an invariant signature (degrees, level, incident label multisets, then two
-rounds of neighbourhood refinement) and matched by backtracking inside those
-groups, in an order that grows through neighbours (VF2++), so that each
-vertex after the first of its component is drawn from the neighbours of an
+:func:`find_isomorphism` is the practical matcher.  It rejects on cheap
+invariants first (sizes, label counts, weak component sizes).  Then
+vertices are grouped by an invariant signature (degrees, level, incident
+label multisets, then two rounds of neighbourhood refinement), computed
+for both graphs in lockstep so that the first round whose class sizes
+differ rejects.  They are matched by backtracking inside those groups, in
+an order that grows through neighbours (VF2++), so that each vertex after
+the first of its component is drawn from the neighbours of an
 already-mapped neighbour's image.  Each graph is indexed once per call,
 every vertex mapping each neighbour to the label multisets between them, so
 a candidate pair (u, w) is checked against u's mapped neighbours only,
@@ -23,10 +26,10 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from itertools import permutations
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .errors import SizeLimitError
-from .graph import Graph, LabelPair, levels
+from .graph import Graph, LabelPair, levels, weak_components
 
 __all__ = ["IsoMapping", "find_isomorphism", "is_isomorphism", "brute_force_isomorphic"]
 
@@ -56,9 +59,11 @@ def is_isomorphism(g1: Graph, g2: Graph, mapping: IsoMapping) -> bool:
     return image == p2
 
 
-def _signatures(g: Graph, intern: Callable[[object], int]) -> dict[str, int]:
-    """Isomorphism-invariant vertex signatures, refined by neighbourhood structure.
+def _signature_rounds(g: Graph, intern: Callable[[object], int]) -> Iterator[dict[str, int]]:
+    """Isomorphism-invariant vertex signatures, yielded once per refinement round.
 
+    The first signatures are degrees, level and incident label multisets;
+    each of two further rounds refines them by neighbourhood structure.
     Signatures are interned to small ints by ``intern``; two graphs whose
     signatures share one table can be compared directly.  Equal ints mean
     "possibly matchable", differing ints mean "provably unmatchable".
@@ -76,18 +81,24 @@ def _signatures(g: Graph, intern: Callable[[object], int]) -> dict[str, int]:
         )
         for v in g.vertices
     }
+    yield sig
     for _ in range(2):
-        sig = {
-            v: intern(
-                (
-                    sig[v],
-                    tuple(sorted((a.label, sig[a.tail]) for a in g.in_arcs(v))),
-                    tuple(sorted((a.label, sig[a.head]) for a in g.out_arcs(v))),
-                )
+        sig = _refine(g, sig, intern)
+        yield sig
+
+
+def _refine(g: Graph, sig: dict[str, int], intern: Callable[[object], int]) -> dict[str, int]:
+    """One refinement round: each signature joined with the labelled signatures of its neighbours."""
+    return {
+        v: intern(
+            (
+                sig[v],
+                tuple(sorted((a.label, sig[a.tail]) for a in g.in_arcs(v))),
+                tuple(sorted((a.label, sig[a.head]) for a in g.out_arcs(v))),
             )
-            for v in g.vertices
-        }
-    return sig
+        )
+        for v in g.vertices
+    }
 
 
 def _neighbour_index(g: Graph, intern: Callable[[object], int]) -> dict[str, dict[str, tuple]]:
@@ -118,6 +129,8 @@ def find_isomorphism(g1: Graph, g2: Graph) -> dict[str, str] | None:
         return None
     if not g1.vertices:
         return {}
+    if sorted(map(len, weak_components(g1))) != sorted(map(len, weak_components(g2))):
+        return None
 
     # One intern table for both graphs, so that their tokens are comparable.
     table: dict[object, int] = {}
@@ -125,9 +138,12 @@ def find_isomorphism(g1: Graph, g2: Graph) -> dict[str, str] | None:
     def intern(key: object) -> int:
         return table.setdefault(key, len(table))
 
-    sig1, sig2 = _signatures(g1, intern), _signatures(g2, intern)
-    if Counter(sig1.values()) != Counter(sig2.values()):
-        return None
+    # The graphs are refined in lockstep, and the first round whose class
+    # sizes differ rejects: each round refines the one before, so the last
+    # round's sizes, which the search needs equal, would differ as well.
+    for sig1, sig2 in zip(_signature_rounds(g1, intern), _signature_rounds(g2, intern)):
+        if Counter(sig1.values()) != Counter(sig2.values()):
+            return None
 
     by_sig: dict[int, list[str]] = {}
     for w in g2.vertices:

@@ -14,10 +14,12 @@ One builder makes all three: the Cartesian product is the intermediate
 product with no synchronising label, and VRSP is the intermediate product
 without the pairs that the removal rule deletes.  That removal runs on
 coordinate pairs, from the factors' degrees and successors, before any arc
-is built, so no arc of a removed pair is ever made.  Each product validates
-its factors on entry (a graph is validated at most once); products of valid
-factors are valid by construction, so only clashes of the generated names
-are checked, over every pair and arc, removed or not.
+is built, so only the names and arcs of surviving pairs are ever made.
+Each product validates its factors on entry (a graph is validated at most
+once); products of valid factors are valid by construction, and are
+returned marked valid, so only clashes of the generated names are checked.
+That check covers every pair and arc, removed or not, and is decided on
+the factor ids alone (see :func:`_joins_clash`), before any name is made.
 
 Labels are interned (see :class:`vrsp.graph.LabelPair`), so the builder
 keys its per-label tables on the labels themselves.
@@ -31,10 +33,10 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from typing import Collection, Iterable, Literal
+from typing import Collection, Literal
 
 from .errors import EmptyFactorError, GraphError
-from .graph import Arc, Graph, LabelPair, label_set
+from .graph import Arc, Graph, LabelPair, _valid_by_construction, label_set
 
 __all__ = [
     "ArcClass",
@@ -76,40 +78,87 @@ def _product(g1: Graph, g2: Graph, shared: Collection[LabelPair], skip: Collecti
     """The intermediate product of two valid factors synchronising on the ``shared`` labels.
 
     Pairs are numbered i*|V2| + j for (V1[i], V2[j]); the pairs in ``skip``
-    are left out with their outgoing arcs.  The name clash check still
+    are left out with their outgoing arcs, and no name or arc is made for
+    them.  The name clash check is decided on the factor ids, so it still
     covers every pair and every arc, skipped or not.
     """
     v1, v2 = g1.vertices, g2.vertices
-    row = {u: i * len(v2) for i, u in enumerate(v1)}
-    col = {x: j for j, x in enumerate(v2)}
-    names = [pair_vertex(u, x) for u in v1 for x in v2]
-    ids: list[str] = []
-    arcs: list[Arc] = []
-
-    def add(new_ids: list[str], tails: Iterable[int], heads: Iterable[int], label: LabelPair) -> None:
-        ids.extend(new_ids)
-        arcs.extend(Arc(i, names[t], names[h], label) for i, t, h in zip(new_ids, tails, heads) if t not in skip)
-
-    for a in g1.arcs:
-        if a.label not in shared:
-            t, h = row[a.tail], row[a.head]
-            add([f"L:{a.id}@{x}" for x in v2], range(t, t + len(v2)), range(h, h + len(v2)), a.label)
-    by_label: dict[LabelPair, list[Arc]] = defaultdict(list)
-    for b in g2.arcs:
-        if b.label in shared:
-            by_label[b.label].append(b)
-        else:
-            t, h = col[b.tail], col[b.head]
-            add([f"R:{b.id}@{u}" for u in v1], (r + t for r in row.values()), (r + h for r in row.values()), b.label)
-    for a in g1.arcs:
-        if a.label in shared:
-            t, h, bs = row[a.tail], row[a.head], by_label[a.label]
-            add([f"S:{a.id}*{b.id}" for b in bs], [t + col[b.tail] for b in bs], [h + col[b.head] for b in bs], a.label)
-
-    if len(set(names)) != len(names) or len(set(ids)) != len(ids):
+    keys1, keys2 = dict.fromkeys(v1), dict.fromkeys(v2)
+    if (
+        _joins_clash(keys1, keys2, ",")
+        or _joins_clash({a.id: None for a in g1.arcs if a.label not in shared}, keys2, "@")
+        or _joins_clash({b.id: None for b in g2.arcs if b.label not in shared}, keys1, "@")
+        or _joins_clash(
+            {a.id: a.label for a in g1.arcs if a.label in shared},
+            {b.id: b.label for b in g2.arcs if b.label in shared},
+            "*",
+        )
+    ):
         raise GraphError("factor vertex or arc ids collide under pair naming")
-    vertices = names if not skip else [n for p, n in enumerate(names) if p not in skip]
-    return Graph(tuple(vertices), tuple(arcs))
+
+    n2 = len(v2)
+    row = {u: i * n2 for i, u in enumerate(v1)}
+    col = {x: j for j, x in enumerate(v2)}
+    # names[p]: the name of pair p, or None for a skipped pair.  A kept
+    # pair's out-arcs lead to kept pairs, so only tails need a test.
+    names = [None if r + j in skip else pair_vertex(u, x) for u, r in row.items() for j, x in enumerate(v2)]
+    arcs: list[Arc] = []
+    by_label: dict[LabelPair, list[tuple[str, int, int]]] = defaultdict(list)
+    for id_, tail, head, label in g2.arcs:
+        t, h = col[tail], col[head]
+        if label in shared:
+            by_label[label].append((id_, t, h))
+            continue
+        for u, r in row.items():
+            name = names[r + t]
+            if name is not None:
+                arcs.append(Arc(f"R:{id_}@{u}", name, names[r + h], label))
+    for id_, tail, head, label in g1.arcs:
+        t, h = row[tail], row[head]
+        if label in shared:
+            for id2, t2, h2 in by_label[label]:
+                name = names[t + t2]
+                if name is not None:
+                    arcs.append(Arc(f"S:{id_}*{id2}", name, names[h + h2], label))
+            continue
+        for j, x in enumerate(v2):
+            name = names[t + j]
+            if name is not None:
+                arcs.append(Arc(f"L:{id_}@{x}", name, names[h + j], label))
+
+    vertices = names if not skip else [n for n in names if n is not None]
+    return _valid_by_construction(Graph(tuple(vertices), tuple(arcs)), g1, g2)
+
+
+def _joins_clash(left: dict[str, object], right: dict[str, object], sep: str) -> bool:
+    """Whether two distinct pairs (l, r) of ids with equal keys join to one string l + sep + r.
+
+    ``left`` and ``right`` map distinct ids to their keys.  With a
+    one-character ``sep``, the joins of (l, r) and (l2, r2), l shorter than
+    l2, are equal exactly when l2 == l + sep + s and r == s + sep + r2 for
+    some string s.  So it suffices to split every id at each ``sep`` in it:
+    a left id into an id of ``left`` and a suffix s, a right id into a
+    prefix s and an id of ``right``, and to look for an s, with the keys of
+    both pairs, that both sides produce.
+    """
+    suffixes = set()
+    for l2, k2 in left.items():
+        i = l2.find(sep)
+        while i >= 0:
+            l = l2[:i]
+            if l in left:
+                suffixes.add((l2[i + 1 :], left[l], k2))
+            i = l2.find(sep, i + 1)
+    if not suffixes:
+        return False
+    for r, k in right.items():
+        i = r.find(sep)
+        while i >= 0:
+            r2 = r[i + 1 :]
+            if r2 in right and (r[:i], k, right[r2]) in suffixes:
+                return True
+            i = r.find(sep, i + 1)
+    return False
 
 
 def _factor_index(g: Graph, shared: Collection[LabelPair], scale: int) -> tuple[list, list, list, list, list]:
@@ -213,9 +262,9 @@ def vrsp(g1: Graph, g2: Graph, *, removal_rng: random.Random | None = None) -> G
     in-degree is 0 although its in-degree in the Cartesian product was
     positive, together with its outgoing arcs; repeat until no such vertex
     remains.  The removal runs on coordinate pairs, from the factors'
-    degrees and successors, before any product arc is built; then arcs are
-    built for the surviving pairs only, though the name clash check still
-    covers every pair and arc of the intermediate product.  Removals only
+    degrees and successors, before any product arc is built; then names and
+    arcs are built for the surviving pairs only, though the name clash check
+    still covers every pair and arc of the intermediate product.  Removals only
     ever lower other in-degrees, so the fixpoint is unique; ``removal_rng``
     picks each next pair at random from the worklist to let tests confirm
     that.

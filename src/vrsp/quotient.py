@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import CycleCreatedError, GraphError, UnknownVertexError
-from .graph import Arc, Graph, _find_cycle
+from .graph import Arc, Graph, _find_cycle, _valid_by_construction
 
 __all__ = ["VertexFamily", "contract", "contract_family"]
 
@@ -61,7 +61,9 @@ def _quotient(g: Graph, image: dict[str, str]) -> Graph:
     """``g`` with each vertex in ``image`` replaced by its image, in one pass over the arcs.
 
     Arcs with neither end in ``image`` are kept verbatim.  Raises
-    ``CycleCreatedError`` naming one cycle of the result.
+    ``CycleCreatedError`` naming one cycle of the result.  The images must
+    be fresh ids or ids of contracted vertices; then the quotient of a graph
+    that has passed ``check`` is valid, and is returned marked so.
     """
     kept: list[Arc] = []
     redirected: dict[tuple[str, str, object], Arc] = {}
@@ -82,7 +84,7 @@ def _quotient(g: Graph, image: dict[str, str]) -> Graph:
     cycle = _find_cycle(vertices, arcs)
     if cycle is not None:
         raise CycleCreatedError(cycle)
-    return Graph(tuple(vertices), tuple(arcs))
+    return _valid_by_construction(Graph(tuple(vertices), tuple(arcs)), g)
 
 
 def contract(g: Graph, x: Iterable[str], new_id: str) -> Graph:

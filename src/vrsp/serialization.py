@@ -195,12 +195,12 @@ def emit_graph(g: Graph) -> str:
     enc = encode_basestring
     label_text: dict[LabelPair, str] = {}
     arcs = []
-    for a in g.arcs:
-        text = label_text.get(a.label)
+    for id_, tail, head, label in g.arcs:
+        text = label_text.get(label)
         if text is None:
-            action, weight = enc(a.label.action), enc(weight_token(a.label.weight))
-            text = label_text[a.label] = f',\n      "action": {action},\n      "weight": {weight}\n    }}'
-        arcs.append(f'{{\n      "id": {enc(a.id)},\n      "tail": {enc(a.tail)},\n      "head": {enc(a.head)}{text}')
+            action, weight = enc(label.action), enc(weight_token(label.weight))
+            text = label_text[label] = f',\n      "action": {action},\n      "weight": {weight}\n    }}'
+        arcs.append(f'{{\n      "id": {enc(id_)},\n      "tail": {enc(tail)},\n      "head": {enc(head)}{text}')
     return f'{{\n  "name": {enc(g.name)},\n  "vertices": {_list(map(enc, g.vertices))},\n  "arcs": {_list(arcs)}\n}}\n'
 
 

@@ -181,6 +181,32 @@ class TestLabelPair:
         assert len(found) == 1 and len(y.arcs) > 0
 
 
+class TestArc:
+    def test_tuple_surface(self):
+        label = L("a", Fraction(1, 2))
+        arc = Arc(id="e1", tail="u", head="v", label=label)
+        assert arc == Arc("e1", "u", "v", label) and (arc.id, arc.tail, arc.head, arc.label) == ("e1", "u", "v", label)
+        assert hash(arc) == hash(("e1", "u", "v", label))
+        assert repr(arc) == "Arc(id='e1', tail='u', head='v', label=LabelPair(action='a', weight=Fraction(1, 2)))"
+        with pytest.raises(AttributeError):
+            arc.head = "w"  # type: ignore[misc]
+        copy = pickle.loads(pickle.dumps(arc))
+        assert copy == arc and type(copy) is Arc and copy.label is label
+
+    def test_graphs_order_arcs_by_their_fields(self):
+        rng = random.Random(47)
+        repeated = 0
+        for _ in range(100):
+            arcs = [
+                Arc(rng.choice(("e1", "e2", "e3")), rng.choice("uvw"), rng.choice("uvw"), L(rng.choice("ab"), rng.choice((1, 2))))
+                for _ in range(rng.randint(0, 12))
+            ]
+            g = Graph(("u", "v", "w"), tuple(arcs))
+            assert g.arcs == tuple(sorted(arcs, key=lambda a: (a.id, a.tail, a.head, a.label)))
+            repeated += len({a[:3] for a in arcs}) < len(set(arcs))
+        assert repeated > 20
+
+
 class TestValidate:
     def test_single_vertex_no_arcs_is_valid(self):
         assert validate(Graph(("u",), ())) == []

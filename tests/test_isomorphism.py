@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 from conftest import mk, path_graph, random_dag, rename_graph
 
+from vrsp import isomorphism
 from vrsp.errors import SizeLimitError
 from vrsp.fixtures import load_graph
-from vrsp.graph import Arc, Graph, build_graph, topological_order
+from vrsp.graph import Arc, Graph, LabelPair, build_graph, topological_order
 from vrsp.isomorphism import brute_force_isomorphic, find_isomorphism, is_isomorphism
 from vrsp.products import cartesian
 
@@ -107,6 +108,50 @@ def test_zigzag_pairs_are_decided_quickly(k):
     # a failure rather than a hung suite.
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     subprocess.run([sys.executable, "-c", ZIGZAG_CHILD, str(k)], env=env, check=True, timeout=30)
+
+
+class TestEarlyRejection:
+    """Rejections bounded by counted refinement rounds; a full match refines each graph twice."""
+
+    @pytest.fixture
+    def rounds(self, monkeypatch) -> list[Graph]:
+        refined: list[Graph] = []
+        real = isomorphism._refine
+
+        def counted(g, sig, intern):
+            refined.append(g)
+            return real(g, sig, intern)
+
+        monkeypatch.setattr(isomorphism, "_refine", counted)
+        return refined
+
+    def test_one_arc_moved_near_miss_stops_after_one_round(self, rounds):
+        arcs = [("e0", "v0", "v1", "p"), ("e1", "v0", "v2", "p"), ("e2", "v1", "v3", "p"), ("e3", "v2", "v4", "p"), ("e5", "v2", "v5", "p")]
+        g = mk("v0 v1 v2 v3 v4 v5", arcs + [("e4", "v0", "v5", "p")])
+        near = mk("v0 v1 v2 v3 v4 v5", arcs + [("e4", "v0", "v3", "p")])
+        # Degrees, levels and labels agree; v0's neighbours do not.
+        assert find_isomorphism(g, near) is None and find_isomorphism(near, g) is None
+        assert len(rounds) == 4  # one round per graph and call
+        rounds.clear()
+        copy = rename_graph(random.Random(7), g)
+        assert is_isomorphism(g, copy, find_isomorphism(g, copy))
+        assert len(rounds) == 4
+
+    def test_zigzag_pair_needs_no_refinement(self, rounds):
+        k = 5
+        one, two = zigzag_graph((2 * k, "z")), zigzag_graph((k, "x"), (k, "y"))
+        # One weak component of 4k vertices against two of 2k.
+        assert find_isomorphism(one, two) is None and find_isomorphism(two, one) is None
+        assert rounds == []
+
+
+def zigzag_graph(*parts: tuple[int, str]) -> Graph:
+    """Zig-zags of m sources and m sinks, one per (m, prefix): s_i -> t_i and t_(i+1 mod m), one label."""
+    vertices, arcs = [], []
+    for m, p in parts:
+        vertices += [f"{p}s{i}" for i in range(m)] + [f"{p}t{i}" for i in range(m)]
+        arcs += [Arc(f"{p}{i}{e}", f"{p}s{i}", f"{p}t{(i + d) % m}", LabelPair("a")) for i in range(m) for e, d in (("x", 0), ("y", 1))]
+    return build_graph(vertices, arcs)
 
 
 class TestWitnessVerifier:

@@ -10,7 +10,9 @@ from fractions import Fraction
 import pytest
 from conftest import L, mk, random_dag
 
+from vrsp import graph, products
 from vrsp.cli import main
+from vrsp.decomposition import verify_decomposition
 from vrsp.errors import EmptyFactorError, GraphError, InvalidGraphError
 from vrsp.fixtures import fixture_dir, fixture_path, load_graph
 from vrsp.graph import Arc, Graph, build_graph, label_set, sources, validate
@@ -245,6 +247,13 @@ def oracle_vrsp(g1: Graph, g2: Graph) -> tuple[Graph, int]:
     return Graph(vertices, arcs), max(depth.values(), default=0)
 
 
+ORACLES = {
+    cartesian: lambda g1, g2: oracle_product(g1, g2, synchronise=False),
+    intermediate: oracle_product,
+    vrsp: lambda g1, g2: oracle_vrsp(g1, g2)[0],
+}
+
+
 def oracle_text(g: Graph) -> str:
     return json.dumps(graph_to_document(g), indent=2, ensure_ascii=False) + "\n"
 
@@ -284,11 +293,44 @@ class TestAgainstOracle:
             inter = intermediate(g1, g2)
             assert inter == oracle_product(g1, g2)
             assert vrsp(g1, g2) == expected
+            # Products come out marked valid; a fresh validation agrees.
+            assert validate(inter) == [] and validate(vrsp(g1, g2)) == []
             assert vrsp(g1, g2, removal_rng=random.Random(seed)) == expected
             diagonal_blocks += any(n > 1 for n in arc_shapes(inter).values())
         # The seeded pairs reach removal chains several levels deep and k*l diagonal blocks.
         assert max(depths) >= 6 and sum(n for d, n in depths.items() if d >= 3) > 100
         assert depths[0] > 100 and diagonal_blocks > 200
+
+    def test_vrsp_builds_only_the_arcs_it_returns(self, monkeypatch):
+        built = []
+
+        def counted(*fields):
+            built.append(Arc(*fields))
+            return built[-1]
+
+        monkeypatch.setattr(products, "Arc", counted)
+        removed = 0
+        for g1, g2 in self.pairs():
+            built.clear()
+            result = vrsp(g1, g2)
+            assert len(built) == len(result.arcs)
+            removed += len(result.vertices) < len(g1.vertices) * len(g2.vertices)
+        assert removed > 100
+
+    def test_no_validation_of_products_or_quotients_already_valid(self, monkeypatch, fig1, fig1_rows, fig1_cols):
+        a, b, c = (random_dag(random.Random(seed), actions="pqs", prefix=p) for seed, p in ((1, "a"), (2, "b"), (3, "c")))
+        calls = []
+        real = graph.validate
+
+        def spy(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(graph, "validate", spy)
+        vrsp(vrsp(a, b), c)
+        # The quotients that FINAL multiplies come from a checked graph.
+        assert verify_decomposition(fig1, fig1_rows, fig1_cols).accepted
+        assert calls == []
 
     def test_diagonal_blocks_feed_removal(self):
         # (v, t) is reached only by the 2*3 diagonals; (v, s) and (u, t) lose every in-arc.
@@ -329,6 +371,75 @@ class TestAgainstOracle:
         survivors = vrsp(g1, g2).vertices
         assert survivors == oracle_vrsp(g1, g2)[0].vertices
         assert all(pair_vertex(renamed[u], x) not in survivors for u, x in clash)
+
+
+def separator_factor(rng: random.Random) -> Graph:
+    """A random DAG whose vertex and arc ids are dense in the separators of pair naming.
+
+    Most ids extend an earlier one by a separator and a letter at either
+    end, so ids that are prefixes and suffixes of one another, which is
+    what pair names need to clash, are common.
+    """
+
+    def ids(n: int) -> list[str]:
+        drawn: set[str] = set()
+        while len(drawn) < n:
+            new = rng.choice(("a", "b", "(a)"))
+            if drawn and rng.random() < 0.7:
+                old, sep = rng.choice(sorted(drawn)), rng.choice(",@*")
+                new = rng.choice((old + sep + new, new + sep + old))
+            drawn.add(new)
+        order = sorted(drawn)
+        rng.shuffle(order)
+        return order
+
+    vertices = ids(rng.randint(1, 4))
+    arcs = []
+    if len(vertices) > 1:
+        for arc_id in ids(rng.randint(0, 5)):
+            i, j = sorted(rng.sample(range(len(vertices)), 2))
+            arcs.append(Arc(arc_id, vertices[i], vertices[j], L(rng.choice("pq"))))
+    return build_graph(vertices, arcs)
+
+
+class TestClashRule:
+    """The clash check, decided on factor ids, against naming every pair and arc."""
+
+    def test_agrees_with_the_oracle(self):
+        rng = random.Random(79)
+        clashes = Counter()
+        for _ in range(3000):
+            g1, g2 = separator_factor(rng), separator_factor(rng)
+            raised = []
+            for op, oracle in ORACLES.items():
+                try:
+                    expected = oracle(g1, g2)
+                except GraphError:
+                    with pytest.raises(GraphError, match="collide"):
+                        op(g1, g2)
+                    raised.append(op.__name__)
+                else:
+                    assert op(g1, g2) == expected
+            clashes[tuple(raised)] += 1
+        # Clashes only of Cartesian copies, and only of diagonals ("S:" ids
+        # of arcs whose labels pair), both occur.
+        assert clashes["cartesian",] > 50 and clashes["intermediate", "vrsp"] > 5
+        assert clashes["cartesian", "intermediate", "vrsp"] > 50 and clashes[()] > 2000
+
+    @pytest.mark.parametrize("pairing, clash", [(("p", "q", "p", "q"), True), (("p", "q", "q", "p"), False)])
+    def test_diagonal_names_clash_only_for_arcs_that_pair(self, pairing, clash):
+        # Left arcs "a" and "a*x", right arcs "x*y" and "y": "S:a*x*y" names
+        # both (a, x*y) and (a*x, y), but only if each of those arcs pair.
+        la, lax, rxy, ry = pairing
+        g1 = mk("u v", [("a", "u", "v", la), ("a*x", "u", "v", lax)])
+        g2 = mk("s t", [("x*y", "s", "t", rxy), ("y", "s", "t", ry)])
+        for op in (intermediate, vrsp):
+            if clash:
+                for build in (op, ORACLES[op]):
+                    with pytest.raises(GraphError, match="collide"):
+                        build(g1, g2)
+            else:
+                assert op(g1, g2) == ORACLES[op](g1, g2)
 
 
 class TestCliAgainstOracle:

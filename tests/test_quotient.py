@@ -8,8 +8,9 @@ from collections import Counter
 import pytest
 from conftest import L, mk, path_graph, random_dag, random_interval_family
 
-from vrsp.errors import CycleCreatedError, GraphError, UnknownVertexError
-from vrsp.graph import label_set
+from vrsp import graph
+from vrsp.errors import CycleCreatedError, GraphError, InvalidGraphError, UnknownVertexError
+from vrsp.graph import Arc, Graph, label_set, validate
 from vrsp.isomorphism import find_isomorphism
 from vrsp.quotient import VertexFamily, contract, contract_family
 
@@ -97,6 +98,23 @@ class TestContract:
             for x in random_interval_family(rng, g):
                 out = contract(g, x, "~new~")
                 assert all(a.tail != a.head for a in out.arcs)
+
+    def test_quotients_of_checked_graphs_are_not_validated_again(self, monkeypatch):
+        rng = random.Random(13)
+        graphs = [random_dag(rng, connected=True, min_vertices=2) for _ in range(40)]
+        calls = []
+        real = graph.validate
+        monkeypatch.setattr(graph, "validate", lambda g: calls.append(g) or real(g))
+        for g in graphs:
+            for x in random_interval_family(rng, g):
+                out = contract(g, x, "~new~")
+                assert out.check() is out and calls == []
+                assert validate(out) == []
+        # An unchecked graph's quotient is validated, and keeps the repeated arc id.
+        g = Graph(("u", "v", "w"), (Arc("e1", "u", "v", L("a")), Arc("e1", "v", "w", L("b"))))
+        with pytest.raises(InvalidGraphError, match="duplicate-arc-id"):
+            contract(g, {"w"}, "x").check()
+        assert len(calls) == 1
 
     def test_errors(self, fig1):
         with pytest.raises(GraphError):
