@@ -12,10 +12,13 @@ Every isomorphism those checks ask about is named by the coordinates when
 the decomposition holds (Imrich & Peterin, "Recognizing Cartesian products
 in linear time", 2007): row layers match each other by col set, col layers
 by row set, a quotient's vertex matches the layer-1 vertex of the set it
-contracted, and g matches the product by v -> (row of v, col of v).  Each
-such witness is checked in linear time; only a witness that fails is
-followed by a search, so an accepted decomposition is confirmed without
-search and only rejections pay for one.
+contracted, and g matches the product by v -> (row of v, col of v).  The
+layer witnesses are checked on the arcs of each layer keyed by those
+coordinates, in the one pass over the arcs that sorts them into layers, so
+no layer graph is built; and when they all hold they prove the product
+witness, so FINAL needs no product.  Only a witness that fails is followed
+by a search, so an accepted decomposition is confirmed without search or
+building the product, and only rejections pay for either.
 
 The search enumerates candidate families from label bipartitions: for any
 valid decomposition the two sides cannot share a label, so each side of a
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .errors import (
     CycleCreatedError,
@@ -181,11 +184,39 @@ def _verify(g: Graph, rows: VertexFamily, cols: VertexFamily) -> DecompositionRe
     """:func:`verify_decomposition` on a graph and families already checked against it.
 
     Each family is a partition of its union, so one pass over the arcs puts
-    every arc into the row layer and the col layer that hold both its ends.
-    Those buckets are the layer subgraphs; the arcs in neither are C1's
-    uncovered arcs.  Every isomorphism that C4, C5, C6 and FINAL ask about
-    is first tried as its coordinate witness, which :func:`_isomorphic`
-    checks in linear time; only a witness that fails leads to a search.
+    every arc into the row layer and the col layer that hold both its ends;
+    the arcs in neither are C1's uncovered arcs.  A layer's coordinates are
+    the other family's set indices of its vertices (None for a vertex in no
+    set of it); its coordinate key maps (coordinate of tail, coordinate of
+    head) to the sorted labels between them (see :func:`_coordinate_view`).
+
+    Each isomorphism that C4, C5 and C6 ask about is first tried as its
+    coordinate witness, and the arc buckets answer it without building a
+    graph.  Layer 1 maps onto layer i by equal coordinates exactly when
+    coordinates are injective on both layers, their coordinate sets are
+    equal and so are their keys.  A quotient's fresh vertex maps onto the
+    vertex of layer 1 that it contracted exactly when that map is a
+    bijection onto layer 1 and the quotient's arcs, keyed by the coordinates
+    of those vertices, give layer 1's key.  Only a witness that fails leads
+    to a search, on layer graphs built for it.
+
+    FINAL then needs neither the product nor a search when every answer
+    came from its witness.  Let rows R_1..R_m and cols C_1..C_n pass C1-C7
+    that way.  By C2 and C3 each quotient has exactly one fresh vertex per
+    set, so the C6 witnesses make R_1 meet every col exactly once, and C_1
+    every row.  The C4 witnesses carry this to every R_i, so
+    v -> (row of v, col of v) is a bijection onto [m] x [n], and every R_i
+    has R_1's key; likewise every C_j has C_1's key.  By C1 and the absence
+    of self-loops, each arc lies in exactly one layer: g's labels from v to w
+    are R_1's key at (col v, col w) when v and w share a row, C_1's key at
+    (row v, row w) when they share a col, and none otherwise.  By the C6
+    witnesses, the quotient by cols carries R_1's key on its fresh vertices,
+    the quotient by rows C_1's.  By C7 the quotients share no label, so
+    their VRSP removes no pair and is their Cartesian product, which
+    carries exactly those labels between the same coordinate pairs.  So
+    the FINAL witness v -> (row image of v, col image of v) holds.  When
+    some answer needed a search, FINAL builds the product and checks that
+    witness, and searches if it fails.
     """
     row_of = {v: i for i, s in enumerate(rows.sets) for v in s}
     col_of = {v: j for j, s in enumerate(cols.sets) for v in s}
@@ -202,8 +233,6 @@ def _verify(g: Graph, rows: VertexFamily, cols: VertexFamily) -> DecompositionRe
             col_arcs[j].append(a)
         if not (in_row or in_col):
             uncovered_arcs.append(a.id)
-    row_subs = [Graph(tuple(s), tuple(arcs)) for s, arcs in zip(rows.sets, row_arcs)]
-    col_subs = [Graph(tuple(s), tuple(arcs)) for s, arcs in zip(cols.sets, col_arcs)]
     conditions: dict[str, ConditionResult] = {}
 
     uncovered_vs = g.vertex_set.difference(row_of, col_of)
@@ -225,11 +254,37 @@ def _verify(g: Graph, rows: VertexFamily, cols: VertexFamily) -> DecompositionRe
             else ConditionResult(False, f"vertices not covered: {_sample(missing)}")
         )
 
+    # layers[kind]: the sets, the arc buckets and the coordinates of a family.
+    layers = {"row": (rows.sets, row_arcs, col_of), "col": (cols.sets, col_arcs, row_of)}
+    views: dict[tuple[str, int], tuple | None] = {}
+    graphs: dict[tuple[str, int], Graph] = {}
+    searched = False
+
+    def view(kind: str, i: int) -> tuple | None:
+        if (kind, i) not in views:
+            sets, arcs, across = layers[kind]
+            views[kind, i] = _coordinate_view(sets[i], arcs[i], across)
+        return views[kind, i]
+
+    def layer(kind: str, i: int) -> Graph:
+        if (kind, i) not in graphs:
+            sets, arcs, _ = layers[kind]
+            graphs[kind, i] = Graph(tuple(sets[i]), tuple(arcs[i]))
+        return graphs[kind, i]
+
+    def search(g1: Graph, g2: Graph) -> bool:
+        nonlocal searched
+        searched = True
+        return find_isomorphism(g1, g2) is not None
+
+    def alike(kind: str, i: int) -> bool:
+        first_view = view(kind, 0)
+        return first_view is not None and view(kind, i) == first_view or search(layer(kind, 0), layer(kind, i))
+
     # first[kind]: index of the first layer not isomorphic to layer 1, if any.
     first: dict[str, int | None] = {}
-    checks = (("C4", rows, row_subs, "row", col_of), ("C5", cols, col_subs, "col", row_of))
-    for code, fam, subs, kind, across in checks:
-        unlike = (i for i in range(1, len(subs)) if not _isomorphic(subs[0], subs[i], _matching(fam, i, across)))
+    for code, kind in (("C4", "row"), ("C5", "col")):
+        unlike = (i for i in range(1, len(layers[kind][0])) if not alike(kind, i))
         bad = first[kind] = next(unlike, None)
         witness = "" if bad is None else f"{kind} layers 1 and {bad + 1} are not isomorphic"
         conditions[code] = ConditionResult(not witness, witness)
@@ -249,11 +304,17 @@ def _verify(g: Graph, rows: VertexFamily, cols: VertexFamily) -> DecompositionRe
         # fails exactly on the layers that C4/C5 found unlike layer 1.  The
         # witness sends each fresh vertex to the vertex of layer 1 that it
         # contracted.
-        sides = ((cols, col_subs, "rows", "col"), (rows, row_subs, "cols", "row"))
-        for q, image, (fam, subs, side, kind) in zip(quotients, images, sides):
+        for q, image, side, kind in zip(quotients, images, ("rows", "cols"), ("col", "row")):
+            sets, _, across = layers[kind]
             bad = first[kind]
-            if subs and not _isomorphic(q, subs[0], {image[w]: w for w in fam.sets[0] if w in image}):
-                bad = 0
+            if sets:
+                first_view = view(kind, 0)
+                if not (
+                    first_view is not None
+                    and _quotient_view(q, image, sets[0], across) == first_view
+                    or search(q, layer(kind, 0))
+                ):
+                    bad = 0
             if bad is not None:
                 c6_witness = f"quotient by {side} is not isomorphic to {kind} layer {bad + 1}"
                 break
@@ -271,9 +332,8 @@ def _verify(g: Graph, rows: VertexFamily, cols: VertexFamily) -> DecompositionRe
     factors = None
     if all(conditions[c].passed for c in CONDITION_CODES):
         q_rows, q_cols = quotients
-        product = vrsp(q_rows, q_cols)
-        row_image, col_image = images
-        if _isomorphic(g, product, {v: pair_vertex(row_image[v], col_image[v]) for v in g.vertices}):
+        # Without a search, the witnesses have already proved FINAL (see above).
+        if not searched or _is_product(g, q_rows, q_cols, images):
             conditions["FINAL"] = ConditionResult(True)
             factors = (q_rows, q_cols)
         else:
@@ -284,15 +344,46 @@ def _verify(g: Graph, rows: VertexFamily, cols: VertexFamily) -> DecompositionRe
     return DecompositionReport(conditions, (len(rows), len(cols)), factors)
 
 
-def _matching(fam: VertexFamily, i: int, across: dict[str, int]) -> dict[str, str | None]:
-    """Layer 1 of ``fam`` onto layer i + 1: each vertex to the one in the same set of the other family."""
-    by_set = {across.get(w): w for w in fam.sets[i]}
-    return {v: by_set.get(across.get(v)) for v in fam.sets[0]}
+def _coordinate_view(vertices: Collection[str], arcs: Iterable[Arc], coord: dict[str, int]) -> tuple | None:
+    """A layer by coordinates: its coordinate set and its coordinate key.
+
+    The key maps (coord of tail, coord of head) to the sorted labels of the
+    arcs between them.  None when two vertices share a coordinate, so that
+    two views are equal exactly when equal coordinates map one layer onto
+    the other, label multisets and all.
+    """
+    coords = {coord.get(v) for v in vertices}
+    if len(coords) != len(vertices):
+        return None
+    key: dict[tuple, list[LabelPair]] = {}
+    for a in arcs:
+        key.setdefault((coord.get(a.tail), coord.get(a.head)), []).append(a.label)
+    for labels in key.values():
+        labels.sort()
+    return coords, key
 
 
-def _isomorphic(g1: Graph, g2: Graph, witness: dict[str, str | None]) -> bool:
-    """Whether g1 and g2 are isomorphic: by ``witness`` when it is one, else by search."""
-    return is_isomorphism(g1, g2, witness) or find_isomorphism(g1, g2) is not None
+def _quotient_view(q: Graph, image: dict[str, str], first: frozenset[str], across: dict[str, int]) -> tuple | None:
+    """The quotient ``q`` by the coordinates of the layer vertices its fresh vertices contracted.
+
+    ``image`` and ``across`` name the same family's sets, and ``across`` is
+    injective on the layer ``first`` (its view exists), so ``image`` is too.
+    None unless ``image`` maps ``first`` onto V(q); then this view equals
+    the layer's exactly when the map from each fresh vertex to the layer
+    vertex it contracted is an isomorphism.
+    """
+    coord = {image.get(w): across.get(w) for w in first}
+    if coord.keys() != q.vertex_set:
+        return None
+    return _coordinate_view(q.vertices, q.arcs, coord)
+
+
+def _is_product(g: Graph, q_rows: Graph, q_cols: Graph, images: tuple[dict[str, str], dict[str, str]]) -> bool:
+    """Whether g is isomorphic to the VRSP of its quotients: by the pair witness when it is one, else by search."""
+    product = vrsp(q_rows, q_cols)
+    row_image, col_image = images
+    witness = {v: pair_vertex(row_image[v], col_image[v]) for v in g.vertices}
+    return is_isomorphism(g, product, witness) or find_isomorphism(g, product) is not None
 
 
 def layers_from_label_split(
@@ -405,11 +496,11 @@ def find_decompositions(g: Graph, max_labels: int | None = None) -> list[Decompo
     """
     _check_graph(g)
     budget = _resolve_label_budget(max_labels)
-    classes = label_classes(g)
-    count = sum(map(len, classes))
+    count = len(label_set(g))
     if count > budget:
         raise LabelBudgetError(f"graph has {count} labels, budget is {budget}")
 
+    classes = label_classes(g)
     pivot, rest = classes[:1], classes[1:]
     candidates = []
     for mask in range((1 << len(rest)) - 1):  # full mask would leave the right side empty

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -10,7 +11,7 @@ from vrsp import cli, decomposition, serialization
 from vrsp import graph as graph_module
 from vrsp.cli import main
 from vrsp.decomposition import find_decompositions, prime_factors
-from vrsp.fixtures import fixture_path
+from vrsp.fixtures import fixture_dir, fixture_path
 from vrsp.graph import validate
 from vrsp.serialization import graph_to_document, parse_graph
 
@@ -211,6 +212,53 @@ class TestDecompose:
     def test_max_labels_flag(self, capsys):
         code, _, err = run(capsys, "decompose", fx("fig1.json"), "--max-labels", "2")
         assert code == 2 and "label" in err.lower()
+
+
+# SHA-256 of stdout and the exit code of each decomposition command on every
+# bundled fixture: the verifier may change how it decides, never what it prints.
+GOLDEN = {
+    ("decompose", "fig1"): (0, "e9433141fc64f0a3d2469f485e125fd6139419416e0b8ed218ce8080ff3f3358"),
+    ("decompose", "fig2"): (0, "c487daae74e293c00900898180036ac2c14ad337ada9bdfd31341e323593b368"),
+    ("decompose", "fig2_g1"): (1, "d4425d0f37c258047fee5a905e7693b2b6373c90399ba0c36745fd413020f4fa"),
+    ("decompose", "fig2_g2"): (1, "d4425d0f37c258047fee5a905e7693b2b6373c90399ba0c36745fd413020f4fa"),
+    ("decompose", "fig3"): (1, "d4425d0f37c258047fee5a905e7693b2b6373c90399ba0c36745fd413020f4fa"),
+    ("decompose", "fig3_g1"): (1, "d4425d0f37c258047fee5a905e7693b2b6373c90399ba0c36745fd413020f4fa"),
+    ("decompose", "fig3_g2"): (1, "d4425d0f37c258047fee5a905e7693b2b6373c90399ba0c36745fd413020f4fa"),
+    ("decompose --recursive", "fig1"): (0, "ebdf02c1a066e2364be9323c96d0c680f759b5fd054368c51e46c0cbdacc012f"),
+    ("decompose --recursive", "fig2"): (0, "68a172ed97ec84005f57ecc84be58bc8d0809c5b3de6a355b8e18652c8b7648a"),
+    ("decompose --recursive", "fig2_g1"): (1, "81baac1d3c236ce8b8e18fecde03a7c1be89995e7c3b72acaf7eddb07d3c77ed"),
+    ("decompose --recursive", "fig2_g2"): (1, "dd8fa513675c7715dcfa4ac7c1a3935a839068a9d9bd5bc63cb182749adba5f9"),
+    ("decompose --recursive", "fig3"): (1, "2616ac9b37a27e6f9231ec4214ee77d69effb4902b104108994b2807f707c8db"),
+    ("decompose --recursive", "fig3_g1"): (1, "afb44371ee90cd5959d5cd7cc0e5a78378e9758e6c5232515db17ef5a9d1a93f"),
+    ("decompose --recursive", "fig3_g2"): (1, "3dd571b090846ff3f6ce6cd94db251dc03f13a6c2fdda1c87f4e76dc9a87261d"),
+    ("verify", "fig1"): (0, "166aa0d5166f22b4ef1890a3a356c92927749b194624d63498ab59133f65b153"),
+    ("verify", "fig2"): (1, "9cd65a781743a7e8541bdcf228c3e364c326577fc89bb4fe4d5aa1bffb56d224"),
+    ("verify", "fig3"): (1, "11469acd1f2952f3da6948a1c79b452ca58f5a78747d4546c8f6b35ba8e308b2"),
+    ("verify swapped", "fig1"): (0, "72b46e0f0a0bd3b2f1da4a3af9f12299bfaf64c852647e113c577f82d57c4dfc"),
+    ("verify swapped", "fig2"): (1, "15b9d6e98ab8e13b2790d87435d766ad96c03725a8fcb187f1d9e51a6c301910"),
+    ("verify swapped", "fig3"): (1, "6a24e1d9b6f5fef4d0eed6271ae9088f62cb63812dc11479706e1d376e5a54c9"),
+}
+
+
+class TestGoldenOutput:
+    def test_every_bundled_graph_and_family_is_pinned(self):
+        graphs = {p.stem for p in fixture_dir().glob("*.json")}
+        with_families = {p.stem for p in fixture_dir().glob("*.rows")}
+        assert {g for _, g in GOLDEN} == graphs
+        assert {g for command, g in GOLDEN if command.startswith("verify")} == with_families
+
+    @pytest.mark.parametrize("command, graph", sorted(GOLDEN))
+    def test_stdout_digest_and_exit_code(self, capsys, command, graph):
+        argv = [fx(f"{graph}.json")]
+        if command == "decompose --recursive":
+            argv.append("--recursive")
+        elif command.startswith("verify"):
+            rows, cols = fx(f"{graph}.rows"), fx(f"{graph}.cols")
+            if command == "verify swapped":
+                rows, cols = cols, rows
+            argv += ["--rows", rows, "--cols", cols]
+        code, out, _ = run(capsys, command.split()[0], *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[command, graph]
 
 
 class TestDot:

@@ -18,10 +18,10 @@ from vrsp.decomposition import (
 )
 from vrsp.errors import CycleCreatedError, DegenerateSplitError, LabelBudgetError, NotConnectedError
 from vrsp.fixtures import load_family
-from vrsp.graph import build_graph, induced_subgraph, is_weakly_connected, label_set
-from vrsp.isomorphism import find_isomorphism
-from vrsp.products import cartesian, vrsp
-from vrsp.quotient import contract_family
+from vrsp.graph import Graph, build_graph, induced_subgraph, is_weakly_connected, label_set
+from vrsp.isomorphism import find_isomorphism, is_isomorphism
+from vrsp.products import cartesian, pair_vertex, vrsp
+from vrsp.quotient import VertexFamily, _mint, contract_family
 
 
 def matcher_calls(monkeypatch) -> list[tuple]:
@@ -102,7 +102,7 @@ class TestVerify:
         layers = [induced_subgraph(fig3, s) for s in rows.sets]
         assert calls[0] == (layers[0], layers[1])
 
-        # A product under other vertex names defeats the FINAL witness, not FINAL.
+        # Every coordinate witness holds on fig1, so FINAL builds no product.
         calls.clear()
         products = []
 
@@ -112,7 +112,45 @@ class TestVerify:
 
         monkeypatch.setattr(decomposition, "vrsp", renamed_vrsp)
         assert verify_decomposition(fig1, fig1_rows, fig1_cols).accepted
-        assert calls == [(fig1, products[0])]
+        assert products == [] and calls == []
+
+        # After one coordinate miss, FINAL builds the product, and a product
+        # under other vertex names defeats the FINAL witness, not FINAL.
+        coordinate_view = decomposition._coordinate_view
+
+        def missing_row_2(vertices, arcs, coord):
+            return None if vertices == fig1_rows.sets[1] else coordinate_view(vertices, arcs, coord)
+
+        monkeypatch.setattr(decomposition, "_coordinate_view", missing_row_2)
+        assert verify_decomposition(fig1, fig1_rows, fig1_cols).accepted
+        rows = [induced_subgraph(fig1, s) for s in fig1_rows.sets]
+        assert calls == [(rows[0], rows[1]), (fig1, products[0])]
+
+    def test_accepted_grid_builds_only_the_quotients(self, monkeypatch):
+        # The coordinate witnesses answer every question of an accepted 20x20
+        # decomposition: no layer graph, no witness check, no search, no product.
+        g = cartesian(path_graph(["a"] * 19, "y"), path_graph(["b"] * 19, "x"))
+        rows, cols = layers_from_label_split(g, {L("a")})
+        calls = dict.fromkeys(("is_isomorphism", "find_isomorphism", "vrsp"), 0)
+        for name in calls:
+
+            def counting(*args, _name=name, _real=getattr(decomposition, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(decomposition, name, counting)
+        built = []
+        post_init = Graph.__post_init__
+
+        def recording(self):
+            post_init(self)
+            built.append(self)
+
+        monkeypatch.setattr(Graph, "__post_init__", recording)
+        report = verify_decomposition(g, rows, cols)
+        assert report.accepted and report.family_sizes == (20, 20)
+        assert calls == dict.fromkeys(calls, 0)
+        assert len(built) == 2 and all(b is f for b, f in zip(built, report.factors))
 
     def test_layers_alike_only_off_the_coordinates_pass(self, monkeypatch):
         # Matching the rows by col set sends u1 -> u2 onto v1 -> v3: only the
@@ -178,6 +216,52 @@ def layer_conditions_oracle(g, rows, cols):
     return out
 
 
+def explicit_witness_searches(g, rows, cols, report):
+    """The searches of the verifier, replayed with each witness spelled out as a vertex map.
+
+    C4 and C5 map layer 1 onto layer i by the other family's set, C6 maps a
+    quotient's fresh vertex onto the layer-1 vertex it contracted, and FINAL
+    maps v to (row image, col image) in the product of the quotients.  A
+    question is searched, in the order the verifier asks, exactly when
+    ``is_isomorphism`` rejects its witness.  FINAL is asked whenever the
+    report has it.
+    """
+    row_of = {v: i for i, s in enumerate(rows) for v in s}
+    col_of = {v: j for j, s in enumerate(cols) for v in s}
+    subs = {"row": [induced_subgraph(g, s) for s in rows], "col": [induced_subgraph(g, s) for s in cols]}
+    searched = []
+
+    def ask(g1, g2, witness):
+        if is_isomorphism(g1, g2, witness):
+            return True
+        searched.append((g1, g2))
+        return find_isomorphism(g1, g2) is not None
+
+    first = {}
+    for kind, fam, across in (("row", rows, col_of), ("col", cols, row_of)):
+        first[kind] = None
+        for i in range(1, len(fam)):
+            by_coord = {across.get(w): w for w in fam[i]}
+            if not ask(subs[kind][0], subs[kind][i], {v: by_coord.get(across.get(v)) for v in fam[0]}):
+                first[kind] = i
+                break
+    images = (_mint(g, VertexFamily.of(rows), "y~"), _mint(g, VertexFamily.of(cols), "x~"))
+    try:
+        quotients = [contract_family(g, rows, "y~"), contract_family(g, cols, "x~")]
+    except CycleCreatedError:
+        return searched
+    for q, image, kind, fam in zip(quotients, images, ("col", "row"), (cols, rows)):
+        bad = first[kind]
+        if fam and not ask(q, subs[kind][0], {image[w]: w for w in fam[0] if w in image}):
+            bad = 0
+        if bad is not None:
+            return searched
+    if "FINAL" in report.conditions:
+        witness = {v: pair_vertex(images[0][v], images[1][v]) for v in g.vertices}
+        ask(g, vrsp(*quotients), witness)
+    return searched
+
+
 def random_partition(rng, vertices, k):
     parts = [set() for _ in range(k)]
     for v in vertices:
@@ -215,6 +299,72 @@ class TestLayerConditionsOracle:
                 seen["C6 rows"] += "quotient by rows" in witnesses
                 seen["C6 cols"] += "quotient by cols" in witnesses
                 seen["later layer"] += "layer" in got["C6"][1] and not got["C6"][1].endswith("layer 1")
+        assert all(seen.values()), seen
+
+    def test_searches_exactly_where_the_explicit_witness_fails(self, monkeypatch):
+        calls = matcher_calls(monkeypatch)
+        # No row contracts a, so the quotient by rows keeps it, and only a
+        # search maps that quotient onto col layer 1.
+        g = mk("a b", [("e", "a", "b", "p")])
+        report = verify_decomposition(g, [{"b"}], [{"a", "b"}])
+        assert report.failed_codes() == ["C2"] and len(calls) == 1
+        assert calls == explicit_witness_searches(g, [{"b"}], [{"a", "b"}], report)
+
+        rng = random.Random(107)
+        seen = {"searched": 0, "accepted unsearched": 0}
+        for i in range(120):
+            if i % 3 == 0:
+                g = random_dag(rng, 8, 12, "pqr", min_vertices=2, connected=True, weights=(1, 2))
+            elif i % 3 == 1:
+                parallel = random_dag(rng, 4, 5, "pq", min_vertices=2, connected=True)
+                g = cartesian(parallel, random_factor(rng, "rs", 4, "r"))
+            else:
+                g = rename_graph(rng, cartesian(random_factor(rng, "pq", 4, "l"), random_factor(rng, "rs", 4, "r")))
+            labels = sorted(label_set(g))
+            # Families may leave vertices out: a vertex in no set of the
+            # other family has no coordinate.
+            families = [tuple(random_partition(rng, g.vertices, rng.randint(1, 4))[rng.randint(0, 1) :] for _ in "rc")]
+            if len(labels) > 1:
+                rows, cols = layers_from_label_split(g, rng.sample(labels, rng.randint(1, len(labels) - 1)))
+                families += [(list(rows.sets), list(cols.sets)), (list(cols.sets), list(rows.sets))]
+                families.append((list(rows.sets), list(cols.sets)[1:]))
+            for rows, cols in families:
+                calls.clear()
+                report = verify_decomposition(g, rows, cols)
+                assert calls == explicit_witness_searches(g, rows, cols, report)
+                seen["searched"] += bool(calls)
+                seen["accepted unsearched"] += report.accepted and not calls
+        assert all(seen.values()), seen
+
+    def test_products_and_relabelled_products_match_the_definition(self):
+        # Label splits of 3-factor products, and of 2-factor products with
+        # one arc relabelled, reach FINAL, which the verifier then decides
+        # from the coordinate witnesses alone.
+        rng = random.Random(103)
+        seen = {"accepted": 0, "rejected after C3": 0}
+        for i in range(60):
+            if i % 2:
+                sides = (("pq", "a"), ("rs", "b"), ("tu", "c"))
+                g = reduce(cartesian, [random_factor(rng, actions, 3, prefix) for actions, prefix in sides])
+            else:
+                g = cartesian(random_factor(rng, "pq", 4, "l"), random_factor(rng, "rs", 4, "r"))
+                arcs = list(g.arcs)
+                k = rng.randrange(len(arcs))
+                arcs[k] = arcs[k]._replace(label=L(rng.choice("pqrsz")))
+                g = build_graph(g.vertices, arcs)
+            labels = sorted(label_set(g))
+            for _ in range(3):
+                rows, cols = layers_from_label_split(g, rng.sample(labels, rng.randint(1, len(labels) - 1)))
+                for rows, cols in ((list(rows.sets), list(cols.sets)), (list(cols.sets), list(rows.sets))):
+                    report = verify_decomposition(g, rows, cols)
+                    got = {code: (res.passed, res.witness) for code, res in report.conditions.items()}
+                    expected = layer_conditions_oracle(g, rows, cols)
+                    if "FINAL" not in got:
+                        expected.pop("FINAL", None)
+                    assert {code: got[code] for code in expected} == expected
+                    seen["accepted"] += report.accepted
+                    late = not {"C1", "C2", "C3"} & set(report.failed_codes())
+                    seen["rejected after C3"] += late and not report.accepted
         assert all(seen.values()), seen
 
 
@@ -341,6 +491,14 @@ class TestFindDecompositions:
 
     def test_label_budget(self, fig1):
         with pytest.raises(LabelBudgetError):
+            find_decompositions(fig1, max_labels=2)
+
+    def test_label_budget_is_checked_before_the_classes(self, fig1, monkeypatch):
+        def unreachable(g):
+            raise AssertionError("label_classes ran on an over-budget graph")
+
+        monkeypatch.setattr(decomposition, "label_classes", unreachable)
+        with pytest.raises(LabelBudgetError, match="^graph has 3 labels, budget is 2$"):
             find_decompositions(fig1, max_labels=2)
 
     def test_env_budget(self, fig1, monkeypatch):

@@ -202,13 +202,30 @@ def moved_arc(rng: random.Random, g: Graph) -> Graph:
     position = {v: i for i, v in enumerate(order)}
     taken = {(a.tail, a.head, a.label) for a in g.arcs}
     arcs = list(g.arcs)
-    while True:
+    heads = [[v for v in order[position[a.tail] + 1 :] if (a.tail, v, a.label) not in taken] for a in arcs]
+    if not any(heads):
+        raise ValueError("no arc can move its head")
+    k = rng.randrange(len(arcs))
+    while not heads[k]:
         k = rng.randrange(len(arcs))
-        a = arcs[k]
-        heads = [v for v in order[position[a.tail] + 1 :] if (a.tail, v, a.label) not in taken]
-        if heads:
-            arcs[k] = Arc(a.id, a.tail, rng.choice(heads), a.label)
-            return build_graph(g.vertices, arcs)
+    a = arcs[k]
+    arcs[k] = Arc(a.id, a.tail, rng.choice(heads[k]), a.label)
+    return build_graph(g.vertices, arcs)
+
+
+class TestMovedArc:
+    def test_a_graph_with_no_movable_arc_is_refused(self):
+        g = mk("u v w", [("e1", "u", "v", "a"), ("e2", "u", "w", "a"), ("e3", "v", "w", "a")])
+        with pytest.raises(ValueError):
+            moved_arc(random.Random(1), g)
+
+    def test_only_movable_arcs_move(self):
+        # Every head after v or w is taken; u -> v and u -> w can move to x only.
+        pairs = ("uv", "uw", "vw", "vx", "wx")
+        g = mk("u v w x", [(f"e{i}", t, h, "a") for i, (t, h) in enumerate(pairs)])
+        for seed in range(10):
+            moved = {(a.tail, a.head) for a in moved_arc(random.Random(seed), g).arcs}
+            assert ("u", "x") in moved and len(moved - set(map(tuple, pairs))) == 1
 
 
 class TestAgainstNetworkx:
