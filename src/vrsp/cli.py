@@ -60,6 +60,17 @@ def _write_or_print(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
+def _vertex_ids(text: str) -> list[str]:
+    """A ``--set`` value: a JSON array of strings is that list of ids; anything else is split on commas."""
+    try:
+        ids = json.loads(text)
+    except (ValueError, RecursionError):  # RecursionError: nesting too deep to decode
+        ids = None
+    if isinstance(ids, list) and all(isinstance(v, str) for v in ids):
+        return ids
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
 def _labels_json(labels) -> list[dict]:
     return [{"action": l.action, "weight": weight_token(l.weight)} for l in labels]
 
@@ -79,7 +90,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("contract", help="contract a vertex set into one fresh vertex")
     p.add_argument("graph")
-    p.add_argument("--set", dest="vertex_set", required=True, help="comma-separated vertex ids")
+    p.add_argument(
+        "--set", dest="vertex_set", required=True, help="comma-separated vertex ids, or a JSON array of ids"
+    )
     p.add_argument("--id", dest="new_id", required=True, help="id of the replacement vertex")
     p.add_argument("-o", "--output")
 
@@ -118,8 +131,7 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "contract":
-        ids = [part.strip() for part in args.vertex_set.split(",") if part.strip()]
-        g = contract(_load(args.graph), ids, args.new_id)
+        g = contract(_load(args.graph), _vertex_ids(args.vertex_set), args.new_id)
         _write_or_print(emit_graph(g), args.output)
         return 0
 

@@ -4,32 +4,31 @@ Two graphs are isomorphic when some vertex bijection carries, for every
 ordered vertex pair, the multiset of arc labels between the pair onto the
 multiset between the image pair.  Arc and vertex ids never matter.
 
-:func:`find_isomorphism` is the practical matcher.  It rejects on cheap
-invariants first (sizes, label counts, weak component sizes).  Then
-vertices are grouped by an invariant signature (degrees, level, incident
-label multisets, then two rounds of neighbourhood refinement), computed
-for both graphs in lockstep so that the first round whose class sizes
-differ rejects.  They are matched by backtracking inside those groups, in
-an order that grows through neighbours (VF2++), so that each vertex after
-the first of its component is drawn from the neighbours of an
-already-mapped neighbour's image.  Each graph is indexed once per call,
-every vertex mapping each neighbour to the label multisets between them, so
-a candidate pair (u, w) is checked against u's mapped neighbours only,
-VF2-style: their images must be w's neighbours with the same labels, and w
-must have no other mapped neighbour.  :func:`brute_force_isomorphic` is the
-ground-truth oracle for small graphs: it enumerates every vertex bijection
-outright and shares none of the matcher's pruning, which is the point.
+:func:`find_isomorphism` is the practical matcher: one
+individualisation–refinement loop (McKay & Piperno, "Practical graph
+isomorphism, II", J. Symb. Comput. 60, 2014).  It rejects on cheap
+invariants first (sizes, label counts, weak component sizes).  Then one
+partition colours the disjoint union of both graphs, so they are refined in
+lockstep, and is refined to be equitable: every vertex of a cell has, per
+arc kind, as many neighbours in each cell.  An isomorphism maps every
+vertex into its own cell, so a cell holding unequal shares of the two
+graphs rejects.  While some cell holds more than one vertex of each graph,
+the search pairs a vertex of the first with each vertex of the second in
+its cell in turn, gives the pair a cell of its own and refines again.  A
+partition of pairs names the witness.  :func:`brute_force_isomorphic` is
+the ground-truth oracle for small graphs: it enumerates every vertex
+bijection outright and shares none of the matcher's pruning, which is the
+point.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from itertools import permutations
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .errors import SizeLimitError
-from .graph import Graph, LabelPair, levels, weak_components
+from .graph import Graph, LabelPair, weak_components
 
 __all__ = ["IsoMapping", "find_isomorphism", "is_isomorphism", "brute_force_isomorphic"]
 
@@ -59,69 +58,106 @@ def is_isomorphism(g1: Graph, g2: Graph, mapping: IsoMapping) -> bool:
     return image == p2
 
 
-def _signature_rounds(g: Graph, intern: Callable[[object], int]) -> Iterator[dict[str, int]]:
-    """Isomorphism-invariant vertex signatures, yielded once per refinement round.
+class _Partition:
+    """An ordered partition of positions 0..2n-1, the disjoint union of two graphs.
 
-    The first signatures are degrees, level and incident label multisets;
-    each of two further rounds refines them by neighbourhood structure.
-    Signatures are interned to small ints by ``intern``; two graphs whose
-    signatures share one table can be compared directly.  Equal ints mean
-    "possibly matchable", differing ints mean "provably unmatchable".
+    A cell is a run of ``lab`` and is named by the index where it begins:
+    ``start[x]`` is x's cell and ``end[c]`` where cell c ends.  ``where``
+    inverts ``lab``.  ``trail`` lists the cells split off, in order, so that
+    :meth:`undo` can merge them back.
     """
-    lvl = levels(g)
-    sig = {
-        v: intern(
-            (
-                g.in_degree(v),
-                g.out_degree(v),
-                lvl[v],
-                tuple(sorted(Counter(a.label for a in g.in_arcs(v)).items())),
-                tuple(sorted(Counter(a.label for a in g.out_arcs(v)).items())),
-            )
-        )
-        for v in g.vertices
-    }
-    yield sig
-    for _ in range(2):
-        sig = _refine(g, sig, intern)
-        yield sig
+
+    __slots__ = ("n", "adj", "lab", "where", "start", "end", "trail")
+
+    def __init__(self, n: int, adj: list[list[tuple[int, int]]]) -> None:
+        self.n, self.adj = n, adj
+        self.lab, self.where = list(range(2 * n)), list(range(2 * n))
+        self.start, self.end = [0] * (2 * n), [2 * n] * (2 * n)
+        self.trail: list[int] = []
+
+    def split(self, c: int, parts: list[list[int]]) -> list[int]:
+        """Give each of ``parts``, disjoint subsets of cell c, a cell of its own; return the new cells.
+
+        The parts move to the back of c.  What is left of c stays c; when
+        nothing is left, the frontmost part does.
+        """
+        lab, where, start, end = self.lab, self.where, self.start, self.end
+        i = end[c]
+        new = []
+        for part in parts:
+            stop = i
+            for y in part:
+                i -= 1
+                x, j = lab[i], where[y]
+                lab[j], where[x] = x, j
+                lab[i], where[y] = y, i
+            if i > c:
+                for y in part:
+                    start[y] = i
+                end[i] = stop
+                new.append(i)
+        end[c] = i if i > c else stop
+        self.trail += new
+        return new
+
+    def undo(self, mark: int) -> None:
+        """Merge back, newest first, every cell split off since ``trail`` was ``mark`` long."""
+        lab, start, end, trail = self.lab, self.start, self.end, self.trail
+        while len(trail) > mark:
+            h = trail.pop()
+            c = start[lab[h - 1]]
+            for x in lab[h : end[h]]:
+                start[x] = c
+            end[c] = end[h]
 
 
-def _refine(g: Graph, sig: dict[str, int], intern: Callable[[object], int]) -> dict[str, int]:
-    """One refinement round: each signature joined with the labelled signatures of its neighbours."""
-    return {
-        v: intern(
-            (
-                sig[v],
-                tuple(sorted((a.label, sig[a.tail]) for a in g.in_arcs(v))),
-                tuple(sorted((a.label, sig[a.head]) for a in g.out_arcs(v))),
-            )
-        )
-        for v in g.vertices
-    }
+def _refine(p: _Partition, queue: list[int]) -> bool:
+    """Split cells until the partition is equitable; False once a cell holds unequal shares of g1 and g2.
 
-
-def _neighbour_index(g: Graph, intern: Callable[[object], int]) -> dict[str, dict[str, tuple]]:
-    """``index[v][n]``: the interned label multisets on v -> n and on n -> v, per neighbour n of v."""
-    pairs = {pair: intern(key) for pair, key in _pair_labels(g).items()}
-    index: dict[str, dict[str, tuple]] = {v: {} for v in g.vertices}
-    for t, h in pairs:
-        index[t][h] = (pairs[t, h], pairs.get((h, t)))
-        index[h][t] = (pairs.get((h, t)), pairs[t, h])
-    return index
+    Equitable: all vertices of a cell have, per arc kind, as many neighbours
+    in each cell.  ``queue`` holds the cells still to split by.  A cell that
+    splits queues all its parts when it was queued itself, and all but its
+    largest otherwise (Hopcroft): counts into that one are the counts into
+    the whole cell, which are uniform already, less those into the others.
+    """
+    n, adj, lab, start, end = p.n, p.adj, p.lab, p.start, p.end
+    queued = set(queue)
+    while queue:
+        s = queue.pop()
+        queued.discard(s)
+        hits: dict[int, list[int]] = {}
+        for x in lab[s : end[s]]:
+            for y, kind in adj[x]:
+                hits.setdefault(y, []).append(kind)
+        by_cell: dict[int, dict[tuple[int, ...], list[int]]] = {}
+        for y, kinds in hits.items():
+            kinds.sort()
+            by_cell.setdefault(start[y], {}).setdefault(tuple(kinds), []).append(y)
+        for c, groups in by_cell.items():
+            parts = list(groups.values())
+            if len(parts) == 1 and len(parts[0]) == end[c] - c:
+                continue
+            # The cell was balanced, so its untouched rest is when every part is.
+            if any(2 * sum(y < n for y in part) != len(part) for part in parts):
+                return False
+            new = p.split(c, parts)
+            if c not in queued:
+                new.append(c)
+                new.remove(max(new, key=lambda h: end[h] - h))
+            queue += new
+            queued.update(new)
+    return True
 
 
 def find_isomorphism(g1: Graph, g2: Graph) -> dict[str, str] | None:
     """Find a label-preserving isomorphism witness, or None when there is none.
 
-    Deterministic for given inputs.  The matching order grows each weak
-    component of g1 through neighbours (VF2++, Jüttner & Madarasi 2018):
-    it starts at the vertex with the smallest candidate class and always
-    takes next, among the neighbours of the vertices ordered so far, one
-    with the smallest class, ties broken by id.  A vertex reached that way
-    can only map to a neighbour of its anchor's image, the anchor being the
-    ordered neighbour that reached it; candidates are tried in sorted id
-    order.
+    Deterministic for given inputs; the witness is keyed in g1's sorted
+    vertex order.  g1's vertices take positions 0..n-1 and g2's n..2n-1, each
+    in sorted id order, and an arc kind is a direction and the label
+    multiset on a vertex pair.  The search branches on the first g1 vertex
+    whose cell holds more than one vertex of each graph and tries the g2
+    vertices of that cell in sorted id order.
     """
     if len(g1.vertices) != len(g2.vertices) or len(g1.arcs) != len(g2.arcs):
         return None
@@ -132,96 +168,49 @@ def find_isomorphism(g1: Graph, g2: Graph) -> dict[str, str] | None:
     if sorted(map(len, weak_components(g1))) != sorted(map(len, weak_components(g2))):
         return None
 
-    # One intern table for both graphs, so that their tokens are comparable.
-    table: dict[object, int] = {}
+    n = len(g1.vertices)
+    p1, p2 = _pair_labels(g1), _pair_labels(g2)
+    kinds: dict[_LabelKey, int] = {}
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(2 * n)]
+    for offset, g, pairs in ((0, g1, p1), (n, g2, p2)):
+        position = {v: offset + i for i, v in enumerate(g.vertices)}
+        for (t, h), key in pairs.items():
+            kind = 2 * kinds.setdefault(key, len(kinds))
+            adj[position[t]].append((position[h], kind))
+            adj[position[h]].append((position[t], kind + 1))
+    names = g1.vertices + g2.vertices
 
-    def intern(key: object) -> int:
-        return table.setdefault(key, len(table))
-
-    # The graphs are refined in lockstep, and the first round whose class
-    # sizes differ rejects: each round refines the one before, so the last
-    # round's sizes, which the search needs equal, would differ as well.
-    for sig1, sig2 in zip(_signature_rounds(g1, intern), _signature_rounds(g2, intern)):
-        if Counter(sig1.values()) != Counter(sig2.values()):
-            return None
-
-    by_sig: dict[int, list[str]] = {}
-    for w in g2.vertices:
-        by_sig.setdefault(sig2[w], []).append(w)
-    n1, n2 = _neighbour_index(g1, intern), _neighbour_index(g2, intern)
-
-    def rarity(u: str) -> tuple[int, str]:
-        return len(by_sig[sig1[u]]), u
-
-    order: list[str] = []
-    anchor: dict[str, str | None] = {}
-    for root in sorted(g1.vertices, key=rarity):
-        if root in anchor:
-            continue
-        anchor[root] = None
-        frontier = [rarity(root)]
-        while frontier:
-            _, u = heapq.heappop(frontier)
-            order.append(u)
-            for v in n1[u]:
-                if v not in anchor:
-                    anchor[v] = u
-                    heapq.heappush(frontier, rarity(v))
-
-    assigned: dict[str, str] = {}
-    used: set[str] = set()
-
-    def candidates(u: str) -> list[str]:
-        a = anchor[u]
-        if a is None:
-            return by_sig[sig1[u]]
-        return sorted(w for w in n2[assigned[a]] if sig2[w] == sig1[u])
-
-    def consistent(u: str, w: str) -> bool:
-        # u's mapped neighbours must map onto w's with the same label
-        # multisets, and w may have no other mapped neighbour.
-        row = n2[w]
-        mapped = 0
-        for v, labels in n1[u].items():
-            t = assigned.get(v)
-            if t is not None:
-                if row.get(t) != labels:
-                    return False
-                mapped += 1
-        return mapped == sum(t in used for t in row)
-
-    # Depth-first search with an explicit stack, so that graph size is not
-    # bounded by the recursion limit: next_try[i] is the position in
-    # order[i]'s candidate list to resume from when the search returns there,
-    # and cands_at[i] that list, drawn afresh whenever next_try[i] is 0.
-    next_try = [0] * len(order)
-    cands_at: list[list[str]] = [[]] * len(order)
-    i = 0
-    while 0 <= i < len(order):
-        u = order[i]
-        if u in assigned:  # back from a dead end below: undo this level's choice
-            used.remove(assigned.pop(u))
-        j = next_try[i]
-        if j == 0:
-            cands_at[i] = candidates(u)
-        cands = cands_at[i]
-        while j < len(cands) and (cands[j] in used or not consistent(u, cands[j])):
-            j += 1
-        if j == len(cands):
-            next_try[i] = 0
-            i -= 1
-            continue
-        assigned[u] = cands[j]
-        used.add(cands[j])
-        next_try[i] = j + 1
-        i += 1
-
-    if i < 0:
+    p = _Partition(n, adj)
+    if not _refine(p, [0]):
         return None
-    assert len(used) == len(g2.vertices) and all(
-        {assigned[v]: labels for v, labels in n1[u].items()} == n2[assigned[u]] for u in g1.vertices
-    )
-    return dict(assigned)
+    lab, start, end = p.lab, p.start, p.end
+    # Depth-first search on an explicit stack of frames (u, u's untried
+    # candidates, trail length before u was paired).  g1 positions before u
+    # are paired already, so the next unpaired one is sought from u on.
+    stack: list[tuple[int, Iterator[int], int]] = []
+    u = 0
+    while True:
+        u = next((x for x in range(u, n) if end[start[x]] - start[x] > 2), n)
+        if u < n:
+            c = start[u]
+            stack.append((u, iter(sorted(y for y in lab[c : end[c]] if y >= n)), len(p.trail)))
+        else:
+            # Every cell is a pair.  The partition is equitable, so the pairing
+            # is an isomorphism; it is checked against the arcs all the same,
+            # and one that failed would be a dead end like any other.
+            mapping = {names[x]: names[lab[start[x]] + lab[start[x] + 1] - x] for x in range(n)}
+            if {(mapping[t], mapping[h]): key for (t, h), key in p1.items()} == p2:
+                return mapping
+        while stack:
+            u, candidates, mark = stack[-1]
+            p.undo(mark)
+            w = next(candidates, None)
+            if w is None:
+                stack.pop()
+            elif _refine(p, p.split(start[u], [[u, w]])):
+                break
+        else:
+            return None
 
 
 def brute_force_isomorphic(g1: Graph, g2: Graph) -> bool:

@@ -83,6 +83,20 @@ def random_factor(rng: random.Random, actions: str, max_vertices: int = 4, prefi
     )
 
 
+def regular_bipartite(rng: random.Random, m: int, prefix: str = "r") -> Graph:
+    """A one-label DAG of m sources of out-degree 3 and m sinks of in-degree 3, no pair joined twice."""
+    if m < 3:
+        raise ValueError("a source needs three distinct sinks")
+    while True:
+        heads = [rng.sample(range(m), m) for _ in range(3)]
+        pairs = {(i, perm[i]) for perm in heads for i in range(m)}
+        if len(pairs) == 3 * m:
+            break
+    vertices = [f"{prefix}s{i}" for i in range(m)] + [f"{prefix}t{j}" for j in range(m)]
+    arcs = [Arc(f"{prefix}a{k}", f"{prefix}s{i}", f"{prefix}t{j}", L("a")) for k, (i, j) in enumerate(sorted(pairs))]
+    return build_graph(vertices, arcs)
+
+
 def rename_graph(rng: random.Random, g: Graph, prefix: str = "w") -> Graph:
     """An isomorphic copy under fresh, randomly assigned vertex and arc ids."""
     order = list(g.vertices)

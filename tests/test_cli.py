@@ -4,16 +4,23 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from conftest import regular_bipartite, rename_graph
 
 from vrsp import cli, decomposition, serialization
 from vrsp import graph as graph_module
 from vrsp.cli import main
 from vrsp.decomposition import find_decompositions, prime_factors
-from vrsp.fixtures import fixture_dir, fixture_path
+from vrsp.fixtures import fixture_dir, fixture_path, load_graph
 from vrsp.graph import validate
-from vrsp.serialization import graph_to_document, parse_graph
+from vrsp.products import cartesian
+from vrsp.serialization import emit_graph, graph_to_document, parse_graph
 
 
 def fx(name: str) -> str:
@@ -98,8 +105,63 @@ class TestContract:
         code, _, err = run(capsys, "contract", str(path), "--set", "u,w", "--id", "~")
         assert code == 2 and "cycle" in err
 
+    def test_json_array_names_ids_that_hold_commas(self, capsys, tmp_path):
+        path = tmp_path / "product.json"
+        path.write_text(emit_graph(cartesian(load_graph("fig2_g1"), load_graph("fig2_g2"))), encoding="utf-8")
+        code, out, err = run(capsys, "contract", str(path), "--set", '["(y~1,u5)","(y~1,u6)"]', "--id", "X")
+        assert code == 0, err
+        g = parse_graph(out)
+        assert "X" in g.vertices and not {"(y~1,u5)", "(y~1,u6)"} & set(g.vertices)
+
+    def test_set_too_deeply_nested_to_decode_is_input_error(self, capsys):
+        code, _, err = run(capsys, "contract", fx("fig1.json"), "--set", "[" * 100_000, "--id", "X")
+        assert code == 2 and err.startswith("error: ")
+
+
+# SHA-256 of stdout and the exit code of ``vrsp iso`` on (left, right) pairs:
+# the witness is keyed in the left graph's sorted vertex order.
+ISO_GOLDEN = {
+    "fig1 vs renamed": (0, "e6e4f5a17df97b18b6a64e1a0538f74dcbfea048b3d0496e660d332f0d426d9f"),
+    "fig3 vs factor product": (1, "507e7ea48eb801802796212d219f5efcbcd5df6e95f45b04ee9567e13db24ccc"),
+    "fig2 factor product vs renamed": (0, "528f4a3cca714034eb7c5b3a41277e302c99b3390d7585a84df052386bd48b6a"),
+}
+
+
+def iso_pair(case: str):
+    if case == "fig1 vs renamed":
+        g = load_graph("fig1")
+        return g, rename_graph(random.Random(1), g)
+    if case == "fig3 vs factor product":
+        return load_graph("fig3"), cartesian(load_graph("fig3_g1"), load_graph("fig3_g2"))
+    g = cartesian(load_graph("fig2_g1"), load_graph("fig2_g2"))
+    return g, rename_graph(random.Random(2), g)
+
 
 class TestIso:
+    @pytest.mark.parametrize("case", sorted(ISO_GOLDEN))
+    def test_stdout_digest_and_exit_code(self, capsys, tmp_path, case):
+        paths = []
+        for side, g in zip(("left", "right"), iso_pair(case)):
+            paths.append(tmp_path / f"{side}.json")
+            paths[-1].write_text(emit_graph(g), encoding="utf-8")
+        code, out, _ = run(capsys, "iso", *map(str, paths))
+        mapping = json.loads(out)["mapping"]
+        assert mapping is None or list(mapping) == sorted(mapping)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == ISO_GOLDEN[case]
+
+    @pytest.mark.parametrize("renamed, expected", [(False, 1), (True, 0)])
+    def test_regular_bipartite_pair_is_decided_quickly(self, tmp_path, renamed, expected):
+        # 160 vertices; the backtracking matcher this replaced did not decide
+        # such pairs within 120 s.  The timeout turns a regression into a failure.
+        rng = random.Random(160)
+        g = regular_bipartite(rng, 80)
+        h = rename_graph(rng, g) if renamed else regular_bipartite(rng, 80, "q")
+        (tmp_path / "g.json").write_text(emit_graph(g), encoding="utf-8")
+        (tmp_path / "h.json").write_text(emit_graph(h), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        argv = [sys.executable, "-m", "vrsp.cli", "iso", str(tmp_path / "g.json"), str(tmp_path / "h.json")]
+        assert subprocess.run(argv, env=env, capture_output=True, timeout=30).returncode == expected
+
     def test_isomorphic_pair(self, capsys):
         code, out, _ = run(capsys, "iso", fx("fig3_g1.json"), fx("fig2_g1.json"))
         assert code == 0

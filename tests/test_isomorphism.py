@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import mk, path_graph, random_dag, rename_graph
+from conftest import mk, path_graph, random_dag, regular_bipartite, rename_graph
 
 from vrsp import isomorphism
 from vrsp.errors import SizeLimitError
@@ -58,7 +58,7 @@ class TestFindIsomorphism:
             assert mapping is not None and is_isomorphism(g, h, mapping)
 
     def test_large_grid_does_not_exhaust_the_stack(self):
-        # One search level per vertex: 1600 levels is past the default recursion limit.
+        # 1600 vertices, past the default recursion limit; refinement alone makes the grid discrete.
         g = cartesian(path_graph(["a"] * 39, "y"), path_graph(["b"] * 39, "x"))
         h = rename_graph(random.Random(59), g)
         mapping = find_isomorphism(g, h)
@@ -102,25 +102,25 @@ assert is_isomorphism(one, copy, find_isomorphism(one, copy))
 
 @pytest.mark.parametrize("k", [5, 40])
 def test_zigzag_pairs_are_decided_quickly(k):
-    # Two rounds of refinement cannot tell one zig-zag of 2k sources from two
-    # of k; a matching order that ignored adjacency took 54 s at k = 5.  The
-    # child takes well under 0.1 s, and the timeout turns a regression into
-    # a failure rather than a hung suite.
+    # Refinement cannot tell one zig-zag of 2k sources from two of k; the
+    # weak component sizes do.  A matching order that ignored adjacency took
+    # 54 s at k = 5.  The child takes well under 0.1 s, and the timeout turns
+    # a regression into a failure rather than a hung suite.
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     subprocess.run([sys.executable, "-c", ZIGZAG_CHILD, str(k)], env=env, check=True, timeout=30)
 
 
 class TestEarlyRejection:
-    """Rejections bounded by counted refinement rounds; a full match refines each graph twice."""
+    """Search effort bounded by counted refinements: one at the root, one per pairing tried."""
 
     @pytest.fixture
-    def rounds(self, monkeypatch) -> list[Graph]:
-        refined: list[Graph] = []
+    def rounds(self, monkeypatch) -> list[int]:
+        refined: list[int] = []
         real = isomorphism._refine
 
-        def counted(g, sig, intern):
-            refined.append(g)
-            return real(g, sig, intern)
+        def counted(p, queue):
+            refined.append(len(queue))
+            return real(p, queue)
 
         monkeypatch.setattr(isomorphism, "_refine", counted)
         return refined
@@ -131,11 +131,33 @@ class TestEarlyRejection:
         near = mk("v0 v1 v2 v3 v4 v5", arcs + [("e4", "v0", "v3", "p")])
         # Degrees, levels and labels agree; v0's neighbours do not.
         assert find_isomorphism(g, near) is None and find_isomorphism(near, g) is None
-        assert len(rounds) == 4  # one round per graph and call
+        assert len(rounds) == 2  # one refinement per call
         rounds.clear()
         copy = rename_graph(random.Random(7), g)
         assert is_isomorphism(g, copy, find_isomorphism(g, copy))
-        assert len(rounds) == 4
+        assert len(rounds) == 1
+
+    def test_isolated_vertices_are_paired_on_the_explicit_stack(self, rounds):
+        # Refinement splits nothing, so each vertex is paired by a search level
+        # of its own: 1200 levels, past the default recursion limit.
+        g = build_graph([f"v{i}" for i in range(1200)], [])
+        h = rename_graph(random.Random(3), g)
+        mapping = find_isomorphism(g, h)
+        assert mapping is not None and is_isomorphism(g, h, mapping)
+        assert len(rounds) >= 1000
+
+    @pytest.mark.parametrize("m", [40, 80])
+    def test_regular_bipartite_pairs_take_few_refinements(self, rounds, m):
+        # Refinement cannot split a side of a regular graph; one pairing
+        # usually makes the partition discrete.  2m vertices in all.
+        rng = random.Random(m)
+        g = regular_bipartite(rng, m)
+        assert find_isomorphism(g, regular_bipartite(rng, m, "q")) is None
+        assert len(rounds) <= m + 1
+        rounds.clear()
+        copy = rename_graph(rng, g)
+        assert is_isomorphism(g, copy, find_isomorphism(g, copy))
+        assert len(rounds) <= 2 * m
 
     def test_zigzag_pair_needs_no_refinement(self, rounds):
         k = 5
@@ -244,14 +266,20 @@ class TestAgainstNetworkx:
             return h
 
         rng = random.Random(89)
-        found = 0
+        pairs = []
         for k in range(20):
             n = rng.randint(20, 300) if k % 4 else 300
             g1 = random_dag(rng, n, 2 * n, "pq", min_vertices=n, connected=True, allow_parallel=False, weights=(1, 2))
-            g2 = rename_graph(rng, g1 if k % 2 else moved_arc(rng, g1))
+            pairs.append((g1, rename_graph(rng, g1 if k % 2 else moved_arc(rng, g1))))
+        # Regular bipartite pairs of 20 and 40 vertices, which refinement alone cannot split.
+        for m in (10, 20):
+            g1 = regular_bipartite(rng, m)
+            pairs += [(g1, rename_graph(rng, g1)), (g1, regular_bipartite(rng, m, "q"))]
+        verdicts = []
+        for g1, g2 in pairs:
             mapping = find_isomorphism(g1, g2)
             matcher = MultiDiGraphMatcher(to_nx(g1), to_nx(g2), edge_match=categorical_multiedge_match("label", None))
             assert (mapping is not None) == matcher.is_isomorphic()
             assert mapping is None or is_isomorphism(g1, g2, mapping)
-            found += mapping is not None
-        assert 0 < found < 20
+            verdicts.append(mapping is not None)
+        assert 0 < sum(verdicts[:20]) < 20 and verdicts[20:] == [True, False, True, False]
