@@ -22,6 +22,7 @@ from .isomorphism import find_isomorphism
 from .products import cartesian, intermediate, vrsp
 from .quotient import contract
 from .serialization import (
+    _json_ids,
     emit_dot,
     emit_graph,
     graph_to_document,
@@ -62,13 +63,8 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 def _vertex_ids(text: str) -> list[str]:
     """A ``--set`` value: a JSON array of strings is that list of ids; anything else is split on commas."""
-    try:
-        ids = json.loads(text)
-    except (ValueError, RecursionError):  # RecursionError: nesting too deep to decode
-        ids = None
-    if isinstance(ids, list) and all(isinstance(v, str) for v in ids):
-        return ids
-    return [part.strip() for part in text.split(",") if part.strip()]
+    ids = _json_ids(text)
+    return ids if ids is not None else [part.strip() for part in text.split(",") if part.strip()]
 
 
 def _labels_json(labels) -> list[dict]:

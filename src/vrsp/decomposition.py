@@ -463,13 +463,18 @@ def label_classes(g: Graph) -> list[tuple[LabelPair, ...]]:
                     return False
         return True
 
+    # Once every label is in one class, no vertex can change the result.
+    n_classes = len(number)
     for v in g.vertices:
+        if n_classes <= 1:
+            break
         outs, ins = list(out_nb[v].items()), list(in_nb[v].items())
         # in/out: w -> v (a), v -> z (b); the square is w -> y (b), y -> z (a).
         for a, ws in ins:
             for b, zs in outs:
                 if find(a) != find(b) and not squared(v, a, ws, out_nb, b, zs, in_nb):
                     parent[find(a)] = find(b)
+                    n_classes -= 1
         # out/out: v -> w (a), v -> z (b); the square is w -> y (b), z -> y (a).
         # in/in: w -> v (a), z -> v (b); the square is y -> w (b), y -> z (a).
         for side, near in ((out_nb, outs), (in_nb, ins)):
@@ -477,6 +482,7 @@ def label_classes(g: Graph) -> list[tuple[LabelPair, ...]]:
                 for b, zs in near[i + 1 :]:
                     if find(a) != find(b) and not squared(v, a, ws, side, b, zs, side):
                         parent[find(a)] = find(b)
+                        n_classes -= 1
 
     classes: dict[int, list[LabelPair]] = {}
     for l, i in number.items():

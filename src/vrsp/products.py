@@ -8,17 +8,19 @@ their Cartesian copies are dropped, and every pair of equally-labelled arcs
 coordinates at once.  Stage three, the vertex-removing synchronised product,
 prunes states made unreachable by synchronisation: any vertex that has lost
 all incoming arcs relative to the Cartesian product is deleted together with
-its outgoing arcs, repeatedly, until a fixpoint.
+its outgoing arcs, repeatedly, until a fixpoint.  The survivors are exactly
+the pairs that the intermediate product reaches from pairs of sources (see
+:func:`vrsp`).
 
 One builder makes all three: the Cartesian product is the intermediate
 product with no synchronising label, and VRSP is the intermediate product
-without the pairs that the removal rule deletes.  That removal runs on
-coordinate pairs, from the factors' degrees and successors, before any arc
-is built, so only the names and arcs of surviving pairs are ever made.
+restricted to those reached pairs.  They are found by a forward search on
+coordinate pairs, over the factors' successor lists, before any arc is
+built, so only the names and arcs of surviving pairs are ever made.
 Each product validates its factors on entry (a graph is validated at most
 once); products of valid factors are valid by construction, and are
 returned marked valid, so only clashes of the generated names are checked.
-That check covers every pair and arc, removed or not, and is decided on
+That check covers every pair and arc, surviving or not, and is decided on
 the factor ids alone (see :func:`_joins_clash`), before any name is made.
 
 Labels are interned (see :class:`vrsp.graph.LabelPair`), so the builder
@@ -33,10 +35,12 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
+from functools import partial
+from itertools import product, repeat
 from typing import Collection, Literal
 
 from .errors import EmptyFactorError, GraphError
-from .graph import Arc, Graph, LabelPair, _valid_by_construction, label_set
+from .graph import Arc, Graph, LabelPair, _valid_by_construction, label_set, topological_order
 
 __all__ = [
     "ArcClass",
@@ -49,6 +53,10 @@ __all__ = [
 ]
 
 ArcClass = Literal["synchronous", "asynchronous"]
+
+# Builds a product arc from its (id, tail, head, label) tuple as ``Arc._make``
+# does, without the Python-level ``Arc.__new__``.
+_arc = partial(tuple.__new__, Arc)
 
 
 def synchronising_labels(g1: Graph, g2: Graph) -> set[LabelPair]:
@@ -74,13 +82,13 @@ def _require_factors(g1: Graph, g2: Graph) -> None:
     g2.check()
 
 
-def _product(g1: Graph, g2: Graph, shared: Collection[LabelPair], skip: Collection[int] = frozenset()) -> Graph:
+def _product(g1: Graph, g2: Graph, shared: Collection[LabelPair], keep: bytearray | None = None) -> Graph:
     """The intermediate product of two valid factors synchronising on the ``shared`` labels.
 
-    Pairs are numbered i*|V2| + j for (V1[i], V2[j]); the pairs in ``skip``
-    are left out with their outgoing arcs, and no name or arc is made for
-    them.  The name clash check is decided on the factor ids, so it still
-    covers every pair and every arc, skipped or not.
+    Pairs are numbered i*|V2| + j for (V1[i], V2[j]).  Given ``keep``, only
+    the pairs p with ``keep[p]`` set are built, with their outgoing arcs,
+    whose heads must be kept too.  The name clash check is decided on the
+    factor ids, so it still covers every pair and every arc, kept or not.
     """
     v1, v2 = g1.vertices, g2.vertices
     keys1, keys2 = dict.fromkeys(v1), dict.fromkeys(v2)
@@ -99,35 +107,38 @@ def _product(g1: Graph, g2: Graph, shared: Collection[LabelPair], skip: Collecti
     n2 = len(v2)
     row = {u: i * n2 for i, u in enumerate(v1)}
     col = {x: j for j, x in enumerate(v2)}
-    # names[p]: the name of pair p, or None for a skipped pair.  A kept
-    # pair's out-arcs lead to kept pairs, so only tails need a test.
-    names = [None if r + j in skip else pair_vertex(u, x) for u, r in row.items() for j, x in enumerate(v2)]
+    # names[p]: the name of pair p, or None for a pair not kept.  Only tails
+    # need a test; column t of the pairs is names[t::n2], row r names[r:r + n2].
+    kept = repeat(1) if keep is None else keep
+    names = [pair_vertex(u, x) if k else None for (u, x), k in zip(product(v1, v2), kept)]
     arcs: list[Arc] = []
     by_label: dict[LabelPair, list[tuple[str, int, int]]] = defaultdict(list)
     for id_, tail, head, label in g2.arcs:
         t, h = col[tail], col[head]
         if label in shared:
             by_label[label].append((id_, t, h))
-            continue
-        for u, r in row.items():
-            name = names[r + t]
-            if name is not None:
-                arcs.append(Arc(f"R:{id_}@{u}", name, names[r + h], label))
+        else:
+            arcs += [
+                _arc((f"R:{id_}@{u}", name, head_name, label))
+                for u, name, head_name in zip(v1, names[t::n2], names[h::n2])
+                if name
+            ]
     for id_, tail, head, label in g1.arcs:
         t, h = row[tail], row[head]
         if label in shared:
-            for id2, t2, h2 in by_label[label]:
-                name = names[t + t2]
-                if name is not None:
-                    arcs.append(Arc(f"S:{id_}*{id2}", name, names[h + h2], label))
-            continue
-        for j, x in enumerate(v2):
-            name = names[t + j]
-            if name is not None:
-                arcs.append(Arc(f"L:{id_}@{x}", name, names[h + j], label))
+            arcs += [
+                _arc((f"S:{id_}*{id2}", name, names[h + h2], label))
+                for id2, t2, h2 in by_label[label]
+                if (name := names[t + t2])
+            ]
+        else:
+            arcs += [
+                _arc((f"L:{id_}@{x}", name, head_name, label))
+                for x, name, head_name in zip(v2, names[t : t + n2], names[h : h + n2])
+                if name
+            ]
 
-    vertices = names if not skip else [n for n in names if n is not None]
-    return _valid_by_construction(Graph(tuple(vertices), tuple(arcs)), g1, g2)
+    return _valid_by_construction(Graph(tuple(filter(None, names)), tuple(arcs)), g1, g2)
 
 
 def _joins_clash(left: dict[str, object], right: dict[str, object], sep: str) -> bool:
@@ -161,81 +172,61 @@ def _joins_clash(left: dict[str, object], right: dict[str, object], sep: str) ->
     return False
 
 
-def _factor_index(g: Graph, shared: Collection[LabelPair], scale: int) -> tuple[list, list, list, list, list]:
-    """Per vertex of ``g``, by position: its in-degree, its private in-degree and
-    successors, and per shared label its in-degree and successors.
-
-    Successors are given as positions times ``scale``.
-    """
+def _factor_index(g: Graph, shared: Collection[LabelPair]) -> tuple[list, list, list]:
+    """The sources of ``g`` and, per vertex, its private successors and per
+    shared label its successors, all as positions in ``g.vertices``."""
     pos = {v: i for i, v in enumerate(g.vertices)}
     n = len(pos)
-    indeg, priv_in = [0] * n, [0] * n
+    has_in = bytearray(n)
     priv_out: list[list[int]] = [[] for _ in range(n)]
-    shared_in: list[dict[LabelPair, int]] = [{} for _ in range(n)]
     shared_out: list[dict[LabelPair, list[int]]] = [{} for _ in range(n)]
-    for a in g.arcs:
-        t, h = pos[a.tail], pos[a.head]
-        indeg[h] += 1
-        if a.label in shared:
-            shared_in[h][a.label] = shared_in[h].get(a.label, 0) + 1
-            shared_out[t].setdefault(a.label, []).append(h * scale)
+    for _, tail, head, label in g.arcs:
+        t, h = pos[tail], pos[head]
+        has_in[h] = 1
+        if label in shared:
+            shared_out[t].setdefault(label, []).append(h)
         else:
-            priv_in[h] += 1
-            priv_out[t].append(h * scale)
-    return indeg, priv_in, priv_out, shared_in, shared_out
+            priv_out[t].append(h)
+    return [i for i in range(n) if not has_in[i]], priv_out, shared_out
 
 
-def _removed_pairs(g1: Graph, g2: Graph, shared: Collection[LabelPair], rng: random.Random | None) -> set[int]:
-    """The pairs, numbered as in :func:`_product`, that the removal rule deletes.
+def _reachable(g1: Graph, g2: Graph, shared: Collection[LabelPair]) -> bytearray:
+    """Per pair, numbered as in :func:`_product`, 1 if the intermediate product
+    reaches it from a pair of sources, else 0.
 
-    The intermediate product has, into (u, x), the private arcs into u and
-    into x, and per shared label l the l-arcs into u times the l-arcs into
-    x; its arcs out of (u, x) follow the same pattern.  So the fixpoint is
-    found from factor data alone, before any product arc exists.
+    The arcs out of (u, x) are the private arcs out of u and out of x, and
+    per shared label l the l-arcs out of u times the l-arcs out of x, so the
+    search needs no product arc.  It takes the rows (u, ·) in a topological
+    order of g1: a row, closed under the private arcs of g2, is complete,
+    and passes its pairs on along the arcs out of u.
     """
     n2 = len(g2.vertices)
-    indeg1, priv_in1, priv_out1, shared_in1, shared_out1 = _factor_index(g1, shared, n2)
-    indeg2, priv_in2, priv_out2, shared_in2, shared_out2 = _factor_index(g2, shared, 1)
-    shared_in2_by_label: dict[LabelPair, list[tuple[int, int]]] = defaultdict(list)
-    for j, counts in enumerate(shared_in2):
-        for k, c in counts.items():
-            shared_in2_by_label[k].append((j, c))
-
-    # indeg: in-degree in the intermediate product; a pair is removable at
-    # in-degree 0 if it has an in-arc in the Cartesian product.
-    indeg: list[int] = []
-    removable: list[int] = []
-    for i, p1 in enumerate(priv_in1):
-        degs = [p1 + p2 for p2 in priv_in2]
-        for k, c1 in shared_in1[i].items():
-            for j, c2 in shared_in2_by_label[k]:
-                degs[j] += c1 * c2
-        base = len(indeg)
-        removable += [base + j for j, d in enumerate(degs) if d == 0 and (indeg1[i] or indeg2[j])]
-        indeg += degs
-
-    # Each pair enters the worklist once: when its in-degree reaches 0, and
-    # every pair with an in-arc in the intermediate product has one in the
-    # Cartesian product too.
-    removed: set[int] = set()
-    while removable:
-        if rng is None:
-            p = removable.pop()
-        else:
-            p = removable.pop(rng.randrange(len(removable)))
-        removed.add(p)
-        i, j = divmod(p, n2)
-        heads = [h + j for h in priv_out1[i]] + [p - j + h for h in priv_out2[j]]
-        out2 = shared_out2[j]
-        for k, hs1 in shared_out1[i].items():
-            hs2 = out2.get(k)
-            if hs2:
-                heads += [h1 + h2 for h1 in hs1 for h2 in hs2]
-        for q in heads:
-            indeg[q] -= 1
-            if indeg[q] == 0:
-                removable.append(q)
-    return removed
+    sources1, priv1, shared1 = _factor_index(g1, shared)
+    sources2, priv2, shared2 = _factor_index(g2, shared)
+    # rows[i]: the positions x in g2 of the pairs of row i reached so far.
+    rows: list[set[int]] = [set() for _ in g1.vertices]
+    for i in sources1:
+        rows[i].update(sources2)
+    pos1 = {u: i for i, u in enumerate(g1.vertices)}
+    reached = bytearray(len(g1.vertices) * n2)
+    for u in topological_order(g1):
+        i = pos1[u]
+        row = rows[i]
+        stack = list(row)
+        while stack:
+            for x in priv2[stack.pop()]:
+                if x not in row:
+                    row.add(x)
+                    stack.append(x)
+        for h in priv1[i]:
+            rows[h] |= row
+        for label, heads in shared1[i].items():
+            below = {y for x in row for y in shared2[x].get(label, ())}
+            for h in heads:
+                rows[h] |= below
+        for x in row:
+            reached[i * n2 + x] = 1
+    return reached
 
 
 def cartesian(g1: Graph, g2: Graph) -> Graph:
@@ -258,16 +249,24 @@ def intermediate(g1: Graph, g2: Graph) -> Graph:
 def vrsp(g1: Graph, g2: Graph, *, removal_rng: random.Random | None = None) -> Graph:
     """The vertex-removing synchronised product.
 
-    Starting from the intermediate product, delete any vertex whose current
-    in-degree is 0 although its in-degree in the Cartesian product was
-    positive, together with its outgoing arcs; repeat until no such vertex
-    remains.  The removal runs on coordinate pairs, from the factors'
-    degrees and successors, before any product arc is built; then names and
-    arcs are built for the surviving pairs only, though the name clash check
-    still covers every pair and arc of the intermediate product.  Removals only
-    ever lower other in-degrees, so the fixpoint is unique; ``removal_rng``
-    picks each next pair at random from the worklist to let tests confirm
-    that.
+    By definition: starting from the intermediate product, delete any vertex
+    whose current in-degree is 0 although its in-degree in the Cartesian
+    product was positive, together with its outgoing arcs; repeat until no
+    such vertex remains.  The Cartesian in-degree of (u, x) is 0 exactly
+    when u and x are both sources, so the survivors are the pairs that the
+    intermediate product reaches from pairs of sources, and the arcs kept
+    are those out of survivors.  Proof, by induction along a topological
+    order of the intermediate product (a DAG, as every arc advances a
+    coordinate along an arc of its factor): a pair of sources is never
+    deleted; a reached pair has an in-arc from an earlier reached pair,
+    never deleted, so its in-degree never drops to 0; an unreached pair has
+    a positive Cartesian in-degree, and all its in-neighbours are earlier
+    and unreached, so deleted, which leaves it removable until it goes.
+
+    So names and arcs are built for the reached pairs only, though the name
+    clash check still covers every pair and arc of the intermediate
+    product.  ``removal_rng`` is accepted and ignored: the result does not
+    depend on any removal order.
     """
     shared = synchronising_labels(g1, g2)
-    return _product(g1, g2, shared, _removed_pairs(g1, g2, shared, removal_rng))
+    return _product(g1, g2, shared, _reachable(g1, g2, shared))

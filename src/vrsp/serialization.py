@@ -19,8 +19,8 @@ indent, trailing newline, so emitting a parsed document reproduces it byte
 for byte.  The text is written directly, not through ``json.dumps``, and
 equals ``json.dumps(document, indent=2, ensure_ascii=False) + "\n"``.
 
-Family files list one vertex set per line, ids comma-separated; blank lines
-and lines starting with '#' are ignored.
+Family files list one vertex set per line, either as a JSON array of ids or
+comma-separated; blank lines and lines starting with '#' are ignored.
 """
 
 from __future__ import annotations
@@ -182,6 +182,8 @@ def parse_graph(text: str | bytes, *, check: bool = True) -> Graph:
         doc = json.loads(_decode(text))
     except json.JSONDecodeError as e:
         raise GraphFormatError(f"malformed JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise GraphFormatError("JSON nested too deeply to decode") from None
     return document_to_graph(doc, check=check)
 
 
@@ -190,18 +192,24 @@ def emit_graph(g: Graph) -> str:
 
     Written directly: the text equals ``json.dumps(graph_to_document(g),
     indent=2, ensure_ascii=False) + "\\n"``, whose indented form would run
-    the pure-Python encoder.  Strings are escaped by the same function.
+    the pure-Python encoder.  Strings are escaped by the same function, and
+    each vertex id once; an arc end that is no vertex (in a graph never
+    checked) is escaped where it occurs.
     """
     enc = encode_basestring
-    label_text: dict[LabelPair, str] = {}
-    arcs = []
-    for id_, tail, head, label in g.arcs:
-        text = label_text.get(label)
-        if text is None:
-            action, weight = enc(label.action), enc(weight_token(label.weight))
-            text = label_text[label] = f',\n      "action": {action},\n      "weight": {weight}\n    }}'
-        arcs.append(f'{{\n      "id": {enc(id_)},\n      "tail": {enc(tail)},\n      "head": {enc(head)}{text}')
-    return f'{{\n  "name": {enc(g.name)},\n  "vertices": {_list(map(enc, g.vertices))},\n  "arcs": {_list(arcs)}\n}}\n'
+    vertex_text = dict(zip(g.vertices, map(enc, g.vertices)))
+    end_text = vertex_text.get
+    label_text = {
+        label: f',\n      "action": {enc(label.action)},\n      "weight": {enc(weight_token(label.weight))}\n    }}'
+        for label in {a.label for a in g.arcs}
+    }
+    arcs = [
+        f'{{\n      "id": {enc(id_)},\n      "tail": {end_text(tail) or enc(tail)},\n'
+        f'      "head": {end_text(head) or enc(head)}{label_text[label]}'
+        for id_, tail, head, label in g.arcs
+    ]
+    vertices = _list(map(vertex_text.__getitem__, g.vertices))
+    return f'{{\n  "name": {enc(g.name)},\n  "vertices": {vertices},\n  "arcs": {_list(arcs)}\n}}\n'
 
 
 def _list(items: Iterable[str]) -> str:
@@ -210,21 +218,44 @@ def _list(items: Iterable[str]) -> str:
     return f"[\n    {body}\n  ]" if body else "[]"
 
 
-def parse_family(text: str | bytes) -> VertexFamily:
-    """Parse a family file: one comma-separated vertex set per line.
+def _json_ids(text: str) -> list[str] | None:
+    """The ids that ``text`` lists if it is a JSON array of strings, else None."""
+    if not text.lstrip().startswith("["):
+        return None
+    try:
+        ids = json.loads(text)
+    except ValueError:
+        return None
+    except RecursionError:
+        raise GraphFormatError("JSON nested too deeply to decode") from None
+    return ids if isinstance(ids, list) and all(isinstance(v, str) for v in ids) else None
 
-    Ids are stripped of surrounding whitespace, and a line starting with '#'
-    is a comment, so an id that contains ',' or a line break, starts with
-    '#', is empty, or has whitespace at either end cannot be written here.
+
+def parse_family(text: str | bytes) -> VertexFamily:
+    """Parse a family file: one vertex set per line.
+
+    A line that parses as a JSON array of strings is that set, so any id can
+    be written, such as a product vertex ``(y~1,u5)``.  Any other line is
+    split on ',' and its ids are stripped of surrounding whitespace, so there
+    an id that contains ',' or a line break, starts with '#', is empty, or
+    has whitespace at either end cannot be written.  Blank lines and lines
+    starting with '#' are ignored.
     """
     sets = []
     for lineno, line in enumerate(_decode(text).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        ids = [part.strip() for part in line.split(",")]
-        if any(not part for part in ids):
-            raise GraphFormatError(f"family line {lineno}: empty vertex id")
+        try:
+            ids = _json_ids(line)
+        except GraphFormatError as e:
+            raise GraphFormatError(f"family line {lineno}: {e}") from None
+        if ids is not None:
+            _require_utf8(ids)
+        else:
+            ids = [part.strip() for part in line.split(",")]
+            if any(not part for part in ids):
+                raise GraphFormatError(f"family line {lineno}: empty vertex id")
         if len(set(ids)) != len(ids):
             raise GraphFormatError(f"family line {lineno}: repeated vertex id")
         sets.append(frozenset(ids))
@@ -239,11 +270,12 @@ def emit_family(fam: VertexFamily) -> str:
 
     Raises ``GraphFormatError`` naming the first id, in sorted order, that
     :func:`parse_family` would not read back as itself: one that contains
-    ',' or a line break, starts with '#', is empty, or has whitespace at
-    either end.
+    ',' or a line break, starts with '#' or '[' (a line that starts with
+    '[' may be read as a JSON array), is empty, or has whitespace at either
+    end.
     """
     for v in sorted(fam.union()):
-        if "," in v or v.startswith("#") or v.strip().splitlines() != [v]:
+        if "," in v or v.startswith(("#", "[")) or v.strip().splitlines() != [v]:
             raise GraphFormatError(f"vertex id {v!r} cannot be written to a family file")
     return "".join(",".join(sorted(s)) + "\n" for s in fam.sets)
 

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import regular_bipartite, rename_graph
+from conftest import L, regular_bipartite, rename_graph
 
 from vrsp import cli, decomposition, serialization
 from vrsp import graph as graph_module
@@ -53,6 +53,12 @@ class TestValidate:
         bad.write_text("{")
         code, _, err = run(capsys, "validate", str(bad))
         assert code == 2 and err
+
+    def test_json_too_deeply_nested_to_decode_is_input_error(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"vertices": ' + "[" * 100_000)
+        code, out, err = run(capsys, "validate", str(deep))
+        assert (code, out) == (2, "") and err.startswith("error: ") and "nested too deeply" in err
 
 
 class TestProduct:
@@ -204,6 +210,24 @@ class TestVerify:
         assert payload["family_sizes"] == [3, 0]
         assert [c for c, r in payload["conditions"].items() if not r["passed"]] == ["C1", "C3", "C6"]
         assert payload["conditions"]["C6"]["witness"] == "quotient by cols is not isomorphic to row layer 1"
+
+    def test_product_layers_as_json_arrays(self, capsys, tmp_path):
+        # Product vertex ids such as "(y~1,x~2)" hold commas, so only the
+        # JSON array form of a family line can name them.
+        g = cartesian(load_graph("fig2_g1"), load_graph("fig3_g2"))
+        graph_path = tmp_path / "g.json"
+        graph_path.write_text(emit_graph(g))
+        rows, cols = decomposition.layers_from_label_split(g, {L("a")})
+
+        def verify(join):
+            for name, fam in (("rows", rows), ("cols", cols)):
+                (tmp_path / name).write_text("".join(join(sorted(s)) + "\n" for s in fam.sets))
+            return run(capsys, "verify", str(graph_path), "--rows", str(tmp_path / "rows"), "--cols", str(tmp_path / "cols"))
+
+        code, out, _ = verify(json.dumps)
+        assert code == 0 and json.loads(out)["accepted"]
+        code, _, err = verify(",".join)
+        assert code == 2 and "repeated vertex id" in err
 
     def test_family_for_wrong_graph_is_input_error(self, capsys):
         code, _, err = run(capsys, "verify", fx("fig3.json"), "--rows", fx("fig1.rows"), "--cols", fx("fig1.cols"))

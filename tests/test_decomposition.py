@@ -18,7 +18,7 @@ from vrsp.decomposition import (
 )
 from vrsp.errors import CycleCreatedError, DegenerateSplitError, LabelBudgetError, NotConnectedError
 from vrsp.fixtures import load_family
-from vrsp.graph import Graph, build_graph, induced_subgraph, is_weakly_connected, label_set
+from vrsp.graph import Arc, Graph, build_graph, induced_subgraph, is_weakly_connected, label_set
 from vrsp.isomorphism import find_isomorphism, is_isomorphism
 from vrsp.products import cartesian, pair_vertex, vrsp
 from vrsp.quotient import VertexFamily, _mint, contract_family
@@ -423,6 +423,21 @@ class TestLabelClasses:
     def test_fixtures(self, fig1, fig3):
         assert label_classes(fig1) == [(L("a"),), (L("b"), L("c"))]
         assert label_classes(fig3) == [(L("a"), L("b"), L("c"))]
+
+    def test_classes_that_collapse_within_the_first_vertices(self):
+        # Parallel arcs out of the first vertex unite every label at once, so
+        # the scan stops there; the search over every bipartition agrees.
+        rng = random.Random(89)
+        for k in range(30):
+            if k % 2:
+                g = random_dag(rng, 7, 12, "pqrs", connected=True, min_vertices=2)
+            else:
+                g = cartesian(random_factor(rng, "pq", prefix="l"), random_factor(rng, "rs", prefix="r"))
+            labels = sorted(label_set(g))
+            head = next(a.head for a in g.arcs if a.tail == g.vertices[0])
+            g = build_graph(g.vertices, g.arcs + tuple(Arc(f"z{i}", g.vertices[0], head, l) for i, l in enumerate(labels)))
+            assert label_classes(g) == [tuple(labels)]
+            assert find_decompositions(g) == exhaustive_decompositions(g) == []
 
 
 def exhaustive_decompositions(g):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import random
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 
 import pytest
@@ -304,11 +304,11 @@ class TestAgainstOracle:
     def test_vrsp_builds_only_the_arcs_it_returns(self, monkeypatch):
         built = []
 
-        def counted(*fields):
+        def counted(fields):
             built.append(Arc(*fields))
             return built[-1]
 
-        monkeypatch.setattr(products, "Arc", counted)
+        monkeypatch.setattr(products, "_arc", counted)
         removed = 0
         for g1, g2 in self.pairs():
             built.clear()
@@ -371,6 +371,68 @@ class TestAgainstOracle:
         survivors = vrsp(g1, g2).vertices
         assert survivors == oracle_vrsp(g1, g2)[0].vertices
         assert all(pair_vertex(renamed[u], x) not in survivors for u, x in clash)
+
+
+def reached_part(g1: Graph, g2: Graph) -> Graph:
+    """The part of the intermediate product that a plain BFS reaches from the pairs of sources."""
+    inter = intermediate(g1, g2)
+    start = [pair_vertex(u, x) for u in sources(g1) for x in sources(g2)]
+    reached, queue = set(start), deque(start)
+    while queue:
+        for a in inter.out_arcs(queue.popleft()):
+            if a.head not in reached:
+                reached.add(a.head)
+                queue.append(a.head)
+    return Graph(tuple(v for v in inter.vertices if v in reached), tuple(a for a in inter.arcs if a.tail in reached))
+
+
+def bundled(rng: random.Random, g: Graph) -> Graph:
+    """``g`` with one to three parallel copies added to some of its arcs."""
+    arcs = list(g.arcs)
+    for a in g.arcs:
+        if rng.random() < 0.5:
+            arcs += [Arc(f"{a.id}c{k}", a.tail, a.head, a.label) for k in range(rng.randint(1, 3))]
+    return build_graph(g.vertices, arcs)
+
+
+class TestReachability:
+    """VRSP is the part of the intermediate product reached from the pairs of sources."""
+
+    def pairs(self):
+        rng = random.Random(71)
+        for k in range(640):
+            kind = k % 4
+            if kind == 0:  # several sources on both sides
+                g1 = random_dag(rng, max_vertices=7, max_arcs=5, actions="pqs", prefix="l", min_vertices=3)
+                g2 = random_dag(rng, max_vertices=7, max_arcs=5, actions="qrs", prefix="r", min_vertices=3)
+            elif kind == 1:  # a single-vertex factor on either side
+                g1 = random_dag(rng, max_vertices=1, actions="pqs", prefix="l")
+                g2 = random_dag(rng, max_vertices=6, max_arcs=8, actions="qrs", prefix="r")
+                g1, g2 = (g1, g2) if rng.random() < 0.5 else (g2, g1)
+            elif kind == 2:  # k x l parallel shared arcs
+                g1, g2 = (
+                    bundled(rng, random_dag(rng, 5, 3, "qs", prefix=p, min_vertices=2, connected=True)) for p in "lr"
+                )
+            else:  # no shared label
+                g1 = random_dag(rng, max_vertices=6, max_arcs=8, actions="pq", prefix="l")
+                g2 = random_dag(rng, max_vertices=6, max_arcs=8, actions="rs", prefix="r")
+            yield g1, g2
+
+    def test_vrsp_is_the_reached_part(self):
+        seen = Counter()
+        for g1, g2 in self.pairs():
+            result = vrsp(g1, g2)
+            assert intermediate(g1, g2) == oracle_product(g1, g2)
+            assert result == oracle_vrsp(g1, g2)[0] == reached_part(g1, g2)
+            shared = synchronising_labels(g1, g2)
+            # The shared labels on parallel arcs of each factor.
+            bundled1, bundled2 = ({l for (_, _, l), n in arc_shapes(g).items() if n > 1 and l in shared} for g in (g1, g2))
+            seen["several sources"] += len(sources(g1)) > 1 and len(sources(g2)) > 1
+            seen["single vertex"] += min(len(g1.vertices), len(g2.vertices)) == 1
+            seen["k x l"] += bool(bundled1 & bundled2)
+            seen["no shared label"] += not shared
+            seen["removal"] += len(result.vertices) < len(g1.vertices) * len(g2.vertices)
+        assert min(seen.values()) > 100, seen
 
 
 def separator_factor(rng: random.Random) -> Graph:

@@ -102,6 +102,23 @@ class TestEmitMatchesJsonDumps:
             g = Graph(tuple(vertices), tuple(arcs), name)
             assert emit_graph(g) == json_dumps_oracle(g)
 
+    def test_repeated_vertex_ids_and_dangling_arc_ends(self):
+        # Unchecked graphs: each vertex id is escaped once, an arc end that
+        # is no vertex where it occurs.
+        rng = random.Random(103)
+        for _ in range(300):
+            vertices = [awkward_text(rng) for _ in range(rng.randint(0, 5))]
+            vertices += rng.sample(vertices, min(len(vertices), rng.randint(0, 3)))
+            ends = vertices + [awkward_text(rng) for _ in range(3)]
+            arcs = [
+                Arc(awkward_text(rng) + str(k), rng.choice(ends), rng.choice(ends), LabelPair(awkward_text(rng)))
+                for k in range(rng.randint(0, 6))
+            ]
+            g = Graph(tuple(vertices), tuple(arcs))
+            assert emit_graph(g) == json_dumps_oracle(g)
+        g = Graph(("u", "u", "é"), (Arc("e", "u", "ghost\n", LabelPair("a")), Arc("f", "\x00", "é", LabelPair("a"))))
+        assert emit_graph(g) == json_dumps_oracle(g)
+
     def test_empty_graphs(self):
         for g in (Graph((), ()), Graph(("u",), ()), Graph((), (), "named")):
             assert emit_graph(g) == json_dumps_oracle(g)
@@ -113,6 +130,12 @@ class TestEmitMatchesJsonDumps:
         graphs += [random_dag(rng, actions="pq", weights=(1, -2, Fraction(3, 2), Fraction(-1, 3))) for _ in range(50)]
         for g in graphs:
             assert emit_graph(g) == json_dumps_oracle(g)
+
+
+class TestDeepNesting:
+    def test_graph_nested_too_deeply_is_a_format_error(self):
+        with pytest.raises(GraphFormatError, match="nested too deeply"):
+            parse_graph('{"vertices": ' + "[" * 100_000)
 
 
 class TestUndecodableStrings:
@@ -240,6 +263,37 @@ class TestFamilies:
             assert parse_family(unchecked) != fam
         except GraphFormatError:
             pass
+
+    def test_json_array_lines(self):
+        text = '# a product layer\n["(y~1,u5)", "(y~1,u6)"]\n  [" a ", "#b", ""]  \nu1,u2\n[x,y\n["z", 1]\n'
+        assert parse_family(text).sets == (
+            frozenset({"(y~1,u5)", "(y~1,u6)"}),
+            frozenset({" a ", "#b", ""}),
+            frozenset({"u1", "u2"}),
+            frozenset({"[x", "y"}),
+            frozenset({'["z"', "1]"}),
+        )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('u1\n["a", "a"]\n', "family line 2: repeated vertex id"),
+            ("[]\n", "family set #1 is empty"),
+            ('["a", "b"]\nb\n', "not disjoint"),
+            ('["\\ud800"]\n', "UTF-8"),
+            ("u1\n" + "[" * 100_000 + "\n", "family line 2: JSON nested too deeply"),
+        ],
+    )
+    def test_bad_json_array_lines(self, text, message):
+        with pytest.raises(GraphFormatError, match=re.escape(message)):
+            parse_family(text)
+
+    @pytest.mark.parametrize("bad", ['["x"]', "[]", "[x"])
+    def test_id_starting_with_bracket_is_not_written(self, bad):
+        # The comma form cannot hold it: a line that starts with '[' may be
+        # read as a JSON array.
+        with pytest.raises(GraphFormatError, match=re.escape(repr(bad))):
+            emit_family(VertexFamily.of([{bad}]))
 
     def test_comments_and_blanks_ignored(self):
         fam = parse_family("# top row\nu1,u2\n\nu3\n")
