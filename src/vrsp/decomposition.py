@@ -34,7 +34,6 @@ side is a union of those classes.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Collection, Iterable, Sequence
 
 from .errors import (
@@ -48,6 +47,7 @@ from .graph import (
     Arc,
     Graph,
     LabelPair,
+    _Record,
     is_weakly_connected,
     label_set,
     spanning_subgraph_by_labels,
@@ -77,16 +77,18 @@ DEFAULT_LABEL_BUDGET = 20
 LABEL_BUDGET_ENV = "VRSP_MAX_LABELS"
 
 
-@dataclass(frozen=True)
-class ConditionResult:
+class ConditionResult(_Record):
     """Outcome of one condition: pass/fail plus a human-readable witness on failure."""
 
     passed: bool
     witness: str = ""
+    __match_args__ = ("passed", "witness")
+
+    def __init__(self, passed: bool, witness: str = "") -> None:
+        self.__dict__.update(passed=passed, witness=witness)
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(_Record):
     """Per-condition outcomes of one verification run.
 
     ``conditions`` always holds C1..C7; the FINAL entry is present only when
@@ -99,6 +101,15 @@ class DecompositionReport:
     conditions: dict[str, ConditionResult]
     family_sizes: tuple[int, int]
     factors: tuple[Graph, Graph] | None = None
+    __match_args__ = ("conditions", "family_sizes", "factors")
+
+    def __init__(
+        self,
+        conditions: dict[str, ConditionResult],
+        family_sizes: tuple[int, int],
+        factors: tuple[Graph, Graph] | None = None,
+    ) -> None:
+        self.__dict__.update(conditions=conditions, family_sizes=family_sizes, factors=factors)
 
     @property
     def accepted(self) -> bool:
@@ -129,13 +140,18 @@ class DecompositionReport:
         }
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Record):
     """One accepted label bipartition with its factor pair and full report."""
 
     left_labels: tuple[LabelPair, ...]
     factors: tuple[Graph, Graph]
     report: DecompositionReport
+    __match_args__ = ("left_labels", "factors", "report")
+
+    def __init__(
+        self, left_labels: tuple[LabelPair, ...], factors: tuple[Graph, Graph], report: DecompositionReport
+    ) -> None:
+        self.__dict__.update(left_labels=left_labels, factors=factors, report=report)
 
 
 def _sample(items: Iterable[str], limit: int = 4) -> str:

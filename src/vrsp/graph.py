@@ -9,13 +9,21 @@ that agree in tail, head, and label; self-loops and directed cycles are not.
 Construction via the ``Graph`` constructor only normalises field order, it
 does not enforce invariants.  Use :func:`validate` to obtain diagnostics, or
 :func:`build_graph` / ``Graph.check`` to get validated values.
+
+``LabelPair``, ``Graph`` and ``Diagnostic``, like vrsp's other records, are
+plain immutable classes on :class:`_Record`: they compare, hash, print,
+copy and pickle as frozen dataclasses do, and ``dataclasses.fields``,
+``replace``, ``asdict`` and ``is_dataclass`` work on them, but that surface
+is built the first time it is used.  So importing vrsp neither imports
+``dataclasses`` (and with it ``inspect``) nor generates code for each class:
+that took a ``vrsp`` process longer than parsing and decomposing a 20x20
+grid.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, total_ordering
 from typing import Iterable, NamedTuple
@@ -44,9 +52,66 @@ __all__ = [
 _LABELS: dict[tuple[str, int, int], LabelPair] = {}
 
 
+class _DataclassFields:
+    """A record class's ``__dataclass_fields__``, made by ``dataclasses`` on first use and then kept on the class.
+
+    The fields are those named in the class's ``__match_args__``, with its
+    annotations as their types and its class attributes as their defaults.
+    """
+
+    def __get__(self, instance: object, owner: type) -> dict:
+        from dataclasses import MISSING, field, make_dataclass
+
+        specs = [
+            (name, owner.__annotations__[name], field(default=owner.__dict__.get(name, MISSING)))
+            for name in owner.__match_args__
+        ]
+        fields = make_dataclass(owner.__name__, specs).__dataclass_fields__
+        owner.__dataclass_fields__ = fields
+        return fields
+
+
+class _Record:
+    """Base of vrsp's immutable records: what ``@dataclass(frozen=True)`` would generate, written once.
+
+    A subclass annotates its fields, names them in order in
+    ``__match_args__`` and stores them in its ``__init__`` through
+    ``__dict__``.  Records of one class are equal when their fields are, and
+    hash and print by their fields.  Assigning or deleting an attribute
+    raises ``dataclasses.FrozenInstanceError``.
+    """
+
+    __match_args__ = ()
+    __dataclass_fields__ = _DataclassFields()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 @total_ordering
-@dataclass(frozen=True, eq=False, init=False)
-class LabelPair:
+class LabelPair(_Record):
     """An arc label: an action name plus an exact weight.
 
     Labels are interned: equal (action, weight) pairs are always one object,
@@ -58,6 +123,9 @@ class LabelPair:
 
     action: str
     weight: Fraction = Fraction(1)
+    __match_args__ = ("action", "weight")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __new__(cls, action: str, weight: int | Fraction = 1) -> LabelPair:
         if not isinstance(action, str) or not action:
@@ -70,8 +138,7 @@ class LabelPair:
         label = _LABELS.get(key)
         if label is None:
             label = object.__new__(cls)
-            object.__setattr__(label, "action", action)
-            object.__setattr__(label, "weight", Fraction(weight))
+            label.__dict__.update(action=action, weight=Fraction(weight))
             # setdefault is atomic, so racing threads still share one object.
             label = _LABELS.setdefault(key, label)
         return label
@@ -104,20 +171,22 @@ class Arc(NamedTuple):
     label: LabelPair
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(_Record):
     """One invariant violation found by :func:`validate`."""
 
     code: str
     message: str
     subject: tuple[str, ...] = ()
+    __match_args__ = ("code", "message", "subject")
+
+    def __init__(self, code: str, message: str, subject: tuple[str, ...] = ()) -> None:
+        self.__dict__.update(code=code, message=message, subject=subject)
 
     def __str__(self) -> str:
         return f"{self.code}: {self.message}"
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Record):
     """An edge-labelled directed acyclic multigraph.
 
     ``vertices`` and ``arcs`` are stored canonically (sorted by id), so two
@@ -129,6 +198,11 @@ class Graph:
     vertices: tuple[str, ...]
     arcs: tuple[Arc, ...]
     name: str = ""
+    __match_args__ = ("vertices", "arcs", "name")
+
+    def __init__(self, vertices: tuple[str, ...], arcs: tuple[Arc, ...], name: str = "") -> None:
+        self.__dict__.update(vertices=vertices, arcs=arcs, name=name)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))

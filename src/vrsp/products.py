@@ -33,14 +33,16 @@ diagonals with both source arc ids).
 
 from __future__ import annotations
 
-import random
 from collections import defaultdict
 from functools import partial
 from itertools import product, repeat
-from typing import Collection, Literal
+from typing import TYPE_CHECKING, Collection, Literal
 
 from .errors import EmptyFactorError, GraphError
 from .graph import Arc, Graph, LabelPair, _valid_by_construction, label_set, topological_order
+
+if TYPE_CHECKING:
+    import random
 
 __all__ = [
     "ArcClass",

@@ -13,26 +13,27 @@ contracting the sets one at a time, in any order.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import CycleCreatedError, GraphError, UnknownVertexError
-from .graph import Arc, Graph, _find_cycle, _valid_by_construction
+from .graph import Arc, Graph, _find_cycle, _Record, _valid_by_construction
+
+if TYPE_CHECKING:
+    import random
 
 __all__ = ["VertexFamily", "contract", "contract_family"]
 
 
-@dataclass(frozen=True)
-class VertexFamily:
+class VertexFamily(_Record):
     """An ordered list of pairwise disjoint, non-empty vertex sets."""
 
     sets: tuple[frozenset[str], ...]
+    __match_args__ = ("sets",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sets", tuple(frozenset(s) for s in self.sets))
+    def __init__(self, sets: tuple[frozenset[str], ...]) -> None:
+        self.__dict__["sets"] = sets = tuple(frozenset(s) for s in sets)
         seen: set[str] = set()
-        for i, s in enumerate(self.sets):
+        for i, s in enumerate(sets):
             if not s:
                 raise GraphError(f"family set #{i + 1} is empty")
             overlap = seen & s

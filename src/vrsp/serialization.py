@@ -68,10 +68,17 @@ def weight_token(w: Fraction) -> str:
     return str(w)
 
 
+_ARC_FIELDS = frozenset({"id", "tail", "head", "action", "weight"})
+
+
 def _expect(value: object, kind: type, what: str):
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise GraphFormatError(f"{what} must be {kind.__name__}, got {type(value).__name__}")
+        raise _wrong_type(what, kind, value)
     return value
+
+
+def _wrong_type(what: str, kind: type, value: object) -> GraphFormatError:
+    return GraphFormatError(f"{what} must be {kind.__name__}, got {type(value).__name__}")
 
 
 def graph_to_document(g: Graph) -> dict:
@@ -108,48 +115,47 @@ def document_to_graph(doc: object, *, check: bool = True) -> Graph:
     name = _expect(doc.get("name", ""), str, "'name'")
     vertices = _expect(doc.get("vertices"), list, "'vertices'")
     for v in vertices:
-        _expect(v, str, "vertex id")
-    repeated = sorted(v for v, n in Counter(vertices).items() if n > 1)
-    if repeated:
+        if not isinstance(v, str):
+            raise _wrong_type("vertex id", str, v)
+    if len(set(vertices)) != len(vertices):
+        repeated = sorted(v for v, n in Counter(vertices).items() if n > 1)
         raise GraphFormatError(f"repeated vertex ids: {', '.join(repr(v) for v in repeated)}")
     raw_arcs = _expect(doc.get("arcs"), list, "'arcs'")
 
-    # One label per distinct (action, token), so that each weight token is
-    # parsed once.  The key carries the token's type because True == 1;
-    # unhashable tokens get no key and are rejected.
+    # One pass over the arcs, checking each field in turn; error text is
+    # formatted only when it is raised.  One label per distinct (action,
+    # token), so that each weight token is parsed once.  The key carries the
+    # token's type because True == 1; unhashable tokens get no key and are
+    # rejected.
     labels: dict[object, LabelPair] = {}
     arcs = []
     for i, entry in enumerate(raw_arcs):
-        where = f"arc #{i + 1}"
         if not isinstance(entry, dict):
-            raise GraphFormatError(f"{where} must be a JSON object")
-        extra = set(entry) - {"id", "tail", "head", "action", "weight"}
-        if extra:
-            raise GraphFormatError(f"{where}: unknown fields {sorted(extra)!r}")
-        missing = {"id", "tail", "head", "action", "weight"} - set(entry)
-        if missing:
-            raise GraphFormatError(f"{where}: missing fields {sorted(missing)!r}")
-        arc_id = _expect(entry["id"], str, f"{where} 'id'")
-        where = f"arc {arc_id!r}"
-        action = _expect(entry["action"], str, f"{where} 'action'")
+            raise GraphFormatError(f"arc #{i + 1} must be a JSON object")
+        if entry.keys() != _ARC_FIELDS:
+            extra = entry.keys() - _ARC_FIELDS
+            if extra:
+                raise GraphFormatError(f"arc #{i + 1}: unknown fields {sorted(extra)!r}")
+            raise GraphFormatError(f"arc #{i + 1}: missing fields {sorted(_ARC_FIELDS - entry.keys())!r}")
+        arc_id, tail, head, action, token = entry["id"], entry["tail"], entry["head"], entry["action"], entry["weight"]
+        if not isinstance(arc_id, str):
+            raise _wrong_type(f"arc #{i + 1} 'id'", str, arc_id)
+        if not isinstance(action, str):
+            raise _wrong_type(f"arc {arc_id!r} 'action'", str, action)
         if not action:
-            raise GraphFormatError(f"{where}: 'action' must be non-empty")
-        token = entry["weight"]
+            raise GraphFormatError(f"arc {arc_id!r}: 'action' must be non-empty")
         key = (action, type(token), token) if isinstance(token, (str, int)) else None
         label = labels.get(key)
         if label is None:
             try:
                 label = labels[key] = LabelPair(action, parse_weight(token))
             except GraphFormatError as e:
-                raise GraphFormatError(f"{where}: {e}") from None
-        arcs.append(
-            Arc(
-                arc_id,
-                _expect(entry["tail"], str, f"{where} 'tail'"),
-                _expect(entry["head"], str, f"{where} 'head'"),
-                label,
-            )
-        )
+                raise GraphFormatError(f"arc {arc_id!r}: {e}") from None
+        if not isinstance(tail, str):
+            raise _wrong_type(f"arc {arc_id!r} 'tail'", str, tail)
+        if not isinstance(head, str):
+            raise _wrong_type(f"arc {arc_id!r} 'head'", str, head)
+        arcs.append(Arc(arc_id, tail, head, label))
 
     # Tails and heads need no check here: each is a vertex id or dangling.
     _require_utf8(chain((name,), vertices, (a.id for a in arcs), (label.action for label in labels.values())))

@@ -354,6 +354,27 @@ class TestDot:
         assert out.startswith('digraph "fig1" {') and out.count(" -> ") == 17
 
 
+class TestStartup:
+    def test_decompose_imports_no_dataclasses_inspect_or_random(self):
+        # -S skips the site module, so no .pth file can have imported these
+        # before vrsp does; each costs every `vrsp` process its import time.
+        child = (
+            "import sys, vrsp.cli\n"
+            f"code = vrsp.cli.main(['decompose', {fx('fig1.json')!r}])\n"
+            "print(code, sorted({'dataclasses', 'inspect', 'random'} & set(sys.modules)), file=sys.stderr)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", child],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "0 []\n")
+
+
 class TestRobustness:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "/no/such/file.json")

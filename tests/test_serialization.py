@@ -17,6 +17,7 @@ from vrsp.graph import Arc, Graph, LabelPair, validate
 from vrsp.fixtures import fixture_path, load_graph
 from vrsp.quotient import VertexFamily
 from vrsp.serialization import (
+    document_to_graph,
     emit_dot,
     emit_family,
     emit_graph,
@@ -210,6 +211,127 @@ class TestParseErrors:
     def test_repeated_vertex_id_named(self, check):
         with pytest.raises(GraphFormatError, match="repeated vertex ids: 'u'"):
             parse_graph('{"vertices": ["u", "u", "v"], "arcs": []}', check=check)
+
+
+_DROP = object()
+
+
+def _arc(**over) -> dict:
+    """A well-formed arc e1 from u to v, with fields replaced, or dropped where given ``_DROP``."""
+    arc = {"id": "e1", "tail": "u", "head": "v", "action": "a", "weight": "1"}
+    arc.update(over)
+    return {k: v for k, v in arc.items() if v is not _DROP}
+
+
+def _doc(*arcs, **over) -> dict:
+    """A well-formed document on vertices u and v, with graph fields replaced or dropped likewise."""
+    doc = {"name": "g", "vertices": ["u", "v"], "arcs": list(arcs)}
+    doc.update(over)
+    return {k: v for k, v in doc.items() if v is not _DROP}
+
+
+# Every schema error of document_to_graph, in full.  Where a document has
+# several faults, the text names the one that wins.
+SCHEMA_ERRORS = {
+    "not an object": ([_doc()], "graph document must be a JSON object"),
+    "unknown graph fields": ({**_doc(), "zeta": 1, "colour": 2}, "unknown graph fields: ['colour', 'zeta']"),
+    "name not a string": (_doc(name=3), "'name' must be str, got int"),
+    "name a bool": (_doc(name=True), "'name' must be str, got bool"),
+    "vertices missing": (_doc(vertices=_DROP), "'vertices' must be list, got NoneType"),
+    "vertices not a list": (_doc(vertices={"u": 1}), "'vertices' must be list, got dict"),
+    "vertex id not a string": (_doc(vertices=["u", 5, None]), "vertex id must be str, got int"),
+    "vertex id a bool": (_doc(vertices=[True]), "vertex id must be str, got bool"),
+    "repeated vertex ids": (_doc(vertices=["v", "u", "w", "v", "u", "v"]), "repeated vertex ids: 'u', 'v'"),
+    "arcs missing": (_doc(arcs=_DROP), "'arcs' must be list, got NoneType"),
+    "arcs not a list": (_doc(arcs="e1"), "'arcs' must be list, got str"),
+    "arc not an object": (_doc(_arc(), ["e2"]), "arc #2 must be a JSON object"),
+    "unknown arc fields": (_doc(_arc(colour="red", z=0)), "arc #1: unknown fields ['colour', 'z']"),
+    "missing arc fields": (
+        _doc(_arc(), _arc(id="e2", head=_DROP, weight=_DROP)),
+        "arc #2: missing fields ['head', 'weight']",
+    ),
+    "unknown beats missing": (_doc(_arc(colour="red", head=_DROP)), "arc #1: unknown fields ['colour']"),
+    "id not a string": (_doc(_arc(id=7)), "arc #1 'id' must be str, got int"),
+    "id null": (_doc(_arc(id=None)), "arc #1 'id' must be str, got NoneType"),
+    "action not a string": (_doc(_arc(action=["a"])), "arc 'e1' 'action' must be str, got list"),
+    "empty action": (_doc(_arc(action="")), "arc 'e1': 'action' must be non-empty"),
+    "tail not a string": (_doc(_arc(tail=1)), "arc 'e1' 'tail' must be str, got int"),
+    "head not a string": (_doc(_arc(head=False)), "arc 'e1' 'head' must be str, got bool"),
+    "bad weight token": (
+        _doc(_arc(weight="1.5")),
+        "arc 'e1': weight must be an integer or 'p/q' token, got '1.5'",
+    ),
+    "weight with a leading zero": (
+        _doc(_arc(weight="01")),
+        "arc 'e1': weight must be an integer or 'p/q' token, got '01'",
+    ),
+    "bool weight": (_doc(_arc(weight=True)), "arc 'e1': weight must be an exact number token, got True"),
+    "float weight": (
+        _doc(_arc(weight=1.0)),
+        "arc 'e1': weight must be an integer or 'p/q' token, got 1.0",
+    ),
+    "list weight": (
+        _doc(_arc(weight=[1])),
+        "arc 'e1': weight must be an integer or 'p/q' token, got [1]",
+    ),
+    "null weight": (
+        _doc(_arc(weight=None)),
+        "arc 'e1': weight must be an integer or 'p/q' token, got None",
+    ),
+    "surrogate in name": (
+        _doc(name="g\ud800"),
+        "string 'g\\ud800' cannot be encoded as UTF-8 (lone surrogate)",
+    ),
+    "surrogate in vertex": (
+        _doc(vertices=["u", "\udfff"]),
+        "string '\\udfff' cannot be encoded as UTF-8 (lone surrogate)",
+    ),
+    "surrogate in arc id": (
+        _doc(_arc(id="e\ud800")),
+        "string 'e\\ud800' cannot be encoded as UTF-8 (lone surrogate)",
+    ),
+    "surrogate in action": (
+        _doc(_arc(action="\udc00")),
+        "string '\\udc00' cannot be encoded as UTF-8 (lone surrogate)",
+    ),
+    "surrogate name beats arc id": (
+        _doc(_arc(id="\ud801"), name="\ud800"),
+        "string '\\ud800' cannot be encoded as UTF-8 (lone surrogate)",
+    ),
+    "several faults in one arc": (
+        _doc(_arc(id=5, action="", weight=1.5, tail=None)),
+        "arc #1 'id' must be str, got int",
+    ),
+    "action beats weight and ends": (
+        _doc(_arc(action="", weight=1.5, tail=None, head=2)),
+        "arc 'e1': 'action' must be non-empty",
+    ),
+    "weight beats ends": (
+        _doc(_arc(weight="x", tail=None, head=2)),
+        "arc 'e1': weight must be an integer or 'p/q' token, got 'x'",
+    ),
+    "tail beats head": (_doc(_arc(tail=None, head=2)), "arc 'e1' 'tail' must be str, got NoneType"),
+    "first bad arc wins": (
+        _doc(_arc(), _arc(id="e2", weight="x"), _arc(id=3)),
+        "arc 'e2': weight must be an integer or 'p/q' token, got 'x'",
+    ),
+    "vertices beat arcs": (_doc(_arc(id=3), vertices=["u", "u"]), "repeated vertex ids: 'u'"),
+    "bad arc beats surrogate": (
+        _doc(_arc(action="\ud800"), _arc(id="e2", weight="1.0")),
+        "arc 'e2': weight must be an integer or 'p/q' token, got '1.0'",
+    ),
+}
+
+
+class TestSchemaErrorTexts:
+    @pytest.mark.parametrize("doc, message", SCHEMA_ERRORS.values(), ids=SCHEMA_ERRORS.keys())
+    @pytest.mark.parametrize("check", [True, False])
+    def test_full_text(self, doc, message, check):
+        with pytest.raises(GraphFormatError) as document_error:
+            document_to_graph(doc, check=check)
+        with pytest.raises(GraphFormatError) as text_error:
+            parse_graph(json.dumps(doc), check=check)
+        assert str(document_error.value) == str(text_error.value) == message
 
 
 class TestLabelInterning:
