@@ -34,7 +34,7 @@ side is a union of those classes.
 from __future__ import annotations
 
 import os
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import (
     CycleCreatedError,
@@ -516,6 +516,12 @@ def find_decompositions(g: Graph, max_labels: int | None = None) -> list[Decompo
     distinct labels than the budget (``max_labels`` argument, else the
     VRSP_MAX_LABELS environment variable, else 20).
     """
+    return list(_accepted(g, max_labels))
+
+
+def _accepted(g: Graph, max_labels: int | None) -> Iterator[Decomposition]:
+    """The accepted bipartitions of :func:`find_decompositions`, in its order,
+    each verified only when it is asked for."""
     _check_graph(g)
     budget = _resolve_label_budget(max_labels)
     count = len(label_set(g))
@@ -530,24 +536,23 @@ def find_decompositions(g: Graph, max_labels: int | None = None) -> list[Decompo
         candidates.append(tuple(sorted(l for c in chosen for l in c)))
     candidates.sort()
 
-    results: list[Decomposition] = []
     for left in candidates:
         rows, cols = layers_from_label_split(g, left)
         report = _verify(g, rows, cols)
         if report.accepted:
             assert report.factors is not None
-            results.append(Decomposition(left, report.factors, report))
-    return results
+            yield Decomposition(left, report.factors, report)
 
 
 def prime_factors(g: Graph, max_labels: int | None = None) -> list[Graph]:
     """Split ``g`` into factors that admit no further decomposition.
 
-    Recurses on the first accepted bipartition at every level; a graph with
-    no accepted bipartition is returned as is.
+    Recurses on the first accepted bipartition at every level, the first
+    that :func:`find_decompositions` would list, and verifies no candidate
+    after it; a graph with no accepted bipartition is returned as is.
     """
-    found = find_decompositions(g, max_labels)
-    if not found:
+    first = next(_accepted(g, max_labels), None)
+    if first is None:
         return [g]
-    left, right = found[0].factors
+    left, right = first.factors
     return prime_factors(left, max_labels) + prime_factors(right, max_labels)

@@ -13,13 +13,10 @@ contracting the sets one at a time, in any order.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import CycleCreatedError, GraphError, UnknownVertexError
 from .graph import Arc, Graph, _find_cycle, _Record, _valid_by_construction
-
-if TYPE_CHECKING:
-    import random
 
 __all__ = ["VertexFamily", "contract", "contract_family"]
 
@@ -114,7 +111,7 @@ def contract_family(
     fam: VertexFamily | Sequence[Iterable[str]],
     id_prefix: str = "y~",
     *,
-    rng: random.Random | None = None,
+    rng: object | None = None,
 ) -> Graph:
     """Contract every set of a disjoint family, all in one pass.
 

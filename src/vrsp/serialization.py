@@ -198,24 +198,40 @@ def emit_graph(g: Graph) -> str:
 
     Written directly: the text equals ``json.dumps(graph_to_document(g),
     indent=2, ensure_ascii=False) + "\\n"``, whose indented form would run
-    the pure-Python encoder.  Strings are escaped by the same function, and
-    each vertex id once; an arc end that is no vertex (in a graph never
-    checked) is escaped where it occurs.
+    the pure-Python encoder.  Strings are escaped by the same function.
+    The document is one ``"".join`` of pieces: the head, then five per arc
+    (the opening, the escaped id, the tail text, the head text and the
+    label text), then the tail, so no arc is written to a string of its own
+    and the text is never copied.  Vertex and label texts are made once
+    each; an arc end that is no vertex (in a graph never checked) is
+    escaped where it occurs.
     """
     enc = encode_basestring
     vertex_text = dict(zip(g.vertices, map(enc, g.vertices)))
-    end_text = vertex_text.get
+    vertices = _list(map(vertex_text.__getitem__, g.vertices))
+    head = f'{{\n  "name": {enc(g.name)},\n  "vertices": {vertices},\n  "arcs": '
+    if not g.arcs:
+        return head + "[]\n}\n"
+    # A tail text runs on to the "head" key, and a label text closes its arc.
+    tail_text = {v: f',\n      "tail": {text},\n      "head": ' for v, text in vertex_text.items()}
     label_text = {
         label: f',\n      "action": {enc(label.action)},\n      "weight": {enc(weight_token(label.weight))}\n    }}'
         for label in {a.label for a in g.arcs}
     }
-    arcs = [
-        f'{{\n      "id": {enc(id_)},\n      "tail": {end_text(tail) or enc(tail)},\n'
-        f'      "head": {end_text(head) or enc(head)}{label_text[label]}'
-        for id_, tail, head, label in g.arcs
-    ]
-    vertices = _list(map(vertex_text.__getitem__, g.vertices))
-    return f'{{\n  "name": {enc(g.name)},\n  "vertices": {vertices},\n  "arcs": {_list(arcs)}\n}}\n'
+    tail_get, head_get = tail_text.get, vertex_text.get
+    opening = ',\n    {\n      "id": '
+    pieces = [head]
+    for id_, tail, end, label in g.arcs:
+        pieces += (
+            opening,
+            enc(id_),
+            tail_get(tail) or f',\n      "tail": {enc(tail)},\n      "head": ',
+            head_get(end) or enc(end),
+            label_text[label],
+        )
+    pieces[1] = '[\n    {\n      "id": '  # the first arc opens the list
+    pieces.append("\n  ]\n}\n")
+    return "".join(pieces)
 
 
 def _list(items: Iterable[str]) -> str:

@@ -326,6 +326,19 @@ GOLDEN = {
 }
 
 
+# The same for the commands whose stdout is all emit_graph: every product
+# kind on the two bundled factor pairs, and one row contracted in fig1.
+COMPOSE_GOLDEN = {
+    ("product --kind cartesian", "fig2"): (0, "eecbaa703b15615804ef0688ab70a721f23a0b8499b3dc1f1568eb72983f2c61"),
+    ("product --kind cartesian", "fig3"): (0, "9a4b7bf389452d8c11886a83d419617def1f697ac9941baf8d6135968afd1b41"),
+    ("product --kind intermediate", "fig2"): (0, "8d5cf745c7d171a73f3ced5f638404f98fa12b90f34dcf2b88c6e53797cdc314"),
+    ("product --kind intermediate", "fig3"): (0, "9a4b7bf389452d8c11886a83d419617def1f697ac9941baf8d6135968afd1b41"),
+    ("product --kind vrsp", "fig2"): (0, "0e74a02dca87912cf4d84f47503e46eb15871c8f3eeaba68ba89d7ddb9e5fdcb"),
+    ("product --kind vrsp", "fig3"): (0, "9a4b7bf389452d8c11886a83d419617def1f697ac9941baf8d6135968afd1b41"),
+    ("contract", "fig1"): (0, "a4d4b406947698dda96b965ffa29f9ce4cf9a37c6254a561dc6599f8517cecaf"),
+}
+
+
 class TestGoldenOutput:
     def test_every_bundled_graph_and_family_is_pinned(self):
         graphs = {p.stem for p in fixture_dir().glob("*.json")}
@@ -345,6 +358,15 @@ class TestGoldenOutput:
             argv += ["--rows", rows, "--cols", cols]
         code, out, _ = run(capsys, command.split()[0], *argv)
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[command, graph]
+
+    @pytest.mark.parametrize("command, graph", sorted(COMPOSE_GOLDEN))
+    def test_composition_stdout_digest_and_exit_code(self, capsys, command, graph):
+        if command == "contract":
+            argv = ["contract", fx(f"{graph}.json"), "--set", "u1,u4,u7,u10", "--id", "y~1"]
+        else:
+            argv = [*command.split(), fx(f"{graph}_g1.json"), fx(f"{graph}_g2.json")]
+        code, out, _ = run(capsys, *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == COMPOSE_GOLDEN[command, graph]
 
 
 class TestDot:

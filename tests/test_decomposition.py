@@ -578,3 +578,47 @@ class TestPrimeFactors:
                 sides = (("pq", "a"), ("rs", "b"), ("tu", "c"))[: k % 4]
                 g = reduce(cartesian, [random_factor(rng, actions, 3, prefix) for actions, prefix in sides])
             assert find_isomorphism(reduce(vrsp, prime_factors(g)), g) is not None
+
+    def test_recursive_primes_are_unchanged(self):
+        # prime_factors stops at the first accepted split; it must still
+        # recurse on exactly the split that find_decompositions lists first.
+        rng = random.Random(157)
+        graphs = [labelled_cube(k) for k in (1, 2, 4)]
+        for k in range(40):
+            if k % 4 == 0:
+                graphs.append(random_dag(rng, 7, 12, "pqrs", connected=True))
+            else:
+                sides = (("pq", "a"), ("rs", "b"), ("tu", "c"))[: k % 4]
+                graphs.append(reduce(cartesian, [random_factor(rng, actions, 3, prefix) for actions, prefix in sides]))
+        for g in graphs:
+            assert prime_factors(g) == primes_by_first_listed(g)
+
+    @pytest.mark.parametrize("k", [6, 7, 8])
+    def test_cube_verifies_one_split_per_level(self, monkeypatch, k):
+        cube = labelled_cube(k)
+        expected = primes_by_first_listed(cube)
+        verified = []
+
+        def counting(g, rows, cols):
+            verified.append(g)
+            return verify(g, rows, cols)
+
+        verify = decomposition._verify
+        monkeypatch.setattr(decomposition, "_verify", counting)
+        primes = prime_factors(cube)
+        assert len(verified) <= k - 1
+        assert primes == expected and len(primes) == k
+
+
+def labelled_cube(k: int) -> Graph:
+    """The 2^k hypercube as a Cartesian product of k one-arc paths, one label per dimension."""
+    return reduce(cartesian, [path_graph([f"d{i}"], f"c{i}_") for i in range(k)])
+
+
+def primes_by_first_listed(g: Graph) -> list[Graph]:
+    """The prime factors found by recursing on ``find_decompositions(g)[0]``."""
+    found = find_decompositions(g)
+    if not found:
+        return [g]
+    left, right = found[0].factors
+    return primes_by_first_listed(left) + primes_by_first_listed(right)

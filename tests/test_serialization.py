@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from vrsp.cli import main
 from vrsp.errors import GraphFormatError, InvalidGraphError
 from vrsp.graph import Arc, Graph, LabelPair, validate
 from vrsp.fixtures import fixture_path, load_graph
+from vrsp.products import intermediate
 from vrsp.quotient import VertexFamily
 from vrsp.serialization import (
     document_to_graph,
@@ -131,6 +133,41 @@ class TestEmitMatchesJsonDumps:
         graphs += [random_dag(rng, actions="pq", weights=(1, -2, Fraction(3, 2), Fraction(-1, 3))) for _ in range(50)]
         for g in graphs:
             assert emit_graph(g) == json_dumps_oracle(g)
+
+
+def large_product(seed: int, prefixes: tuple[str, str]) -> Graph:
+    """A seeded intermediate product of two 48-vertex DAGs: 2304 vertices, all three arc kinds."""
+    rng = random.Random(seed)
+    weights = (1, -2, Fraction(3, 2))
+    g1, g2 = (
+        random_dag(rng, 48, 120, actions, min_vertices=48, connected=True, weights=weights, prefix=prefix)
+        for actions, prefix in zip(("pqrs", "rstu"), prefixes)
+    )
+    g = intermediate(g1, g2)
+    assert len(g.vertices) == 2304 and {a.id[:2] for a in g.arcs} == {"L:", "R:", "S:"}
+    return g
+
+
+class TestEmitLargeProduct:
+    @pytest.mark.parametrize("prefixes", [("u", "x"), ("é\\", '"\u2028\U0001F600')], ids=["ascii", "escaped"])
+    def test_matches_json_dumps(self, prefixes):
+        g = large_product(211, prefixes)
+        assert emit_graph(g) == json_dumps_oracle(g)
+
+    def test_peak_memory_is_at_most_three_texts(self):
+        # An ASCII text takes one byte per character, so its length is its
+        # size.  Joining one string per arc and then copying the whole
+        # document into its wrappers peaks at about 3.5 times that.
+        g = large_product(223, ("u", "x"))
+        text = emit_graph(g)
+        assert text.isascii()
+        tracemalloc.start()
+        try:
+            emit_graph(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(text)
 
 
 class TestDeepNesting:
