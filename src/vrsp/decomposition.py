@@ -34,6 +34,7 @@ side is a union of those classes.
 from __future__ import annotations
 
 import os
+from functools import cache
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -47,11 +48,10 @@ from .graph import (
     Arc,
     Graph,
     LabelPair,
+    _components,
     _Record,
     is_weakly_connected,
     label_set,
-    spanning_subgraph_by_labels,
-    weak_components,
 )
 from .isomorphism import find_isomorphism, is_isomorphism
 from .products import pair_vertex, vrsp
@@ -272,21 +272,17 @@ def _verify(g: Graph, rows: VertexFamily, cols: VertexFamily) -> DecompositionRe
 
     # layers[kind]: the sets, the arc buckets and the coordinates of a family.
     layers = {"row": (rows.sets, row_arcs, col_of), "col": (cols.sets, col_arcs, row_of)}
-    views: dict[tuple[str, int], tuple | None] = {}
-    graphs: dict[tuple[str, int], Graph] = {}
     searched = False
 
+    @cache
     def view(kind: str, i: int) -> tuple | None:
-        if (kind, i) not in views:
-            sets, arcs, across = layers[kind]
-            views[kind, i] = _coordinate_view(sets[i], arcs[i], across)
-        return views[kind, i]
+        sets, arcs, across = layers[kind]
+        return _coordinate_view(sets[i], arcs[i], across)
 
+    @cache
     def layer(kind: str, i: int) -> Graph:
-        if (kind, i) not in graphs:
-            sets, arcs, _ = layers[kind]
-            graphs[kind, i] = Graph(tuple(sets[i]), tuple(arcs[i]))
-        return graphs[kind, i]
+        sets, arcs, _ = layers[kind]
+        return Graph(tuple(sets[i]), tuple(arcs[i]))
 
     def search(g1: Graph, g2: Graph) -> bool:
         nonlocal searched
@@ -407,9 +403,9 @@ def layers_from_label_split(
 ) -> tuple[VertexFamily, VertexFamily]:
     """Candidate (rows, cols) families for one label bipartition.
 
-    Rows are the weak components of the spanning subgraph on the complement
-    labels, cols those of the subgraph on ``left_labels``; both are vertex
-    partitions of g by construction.
+    Rows are the weak components of g's vertices under the arcs with the
+    complement labels, cols those under the arcs with ``left_labels``; both
+    are vertex partitions of g by construction.
     """
     labels = label_set(g)
     left = set(left_labels)
@@ -420,8 +416,8 @@ def layers_from_label_split(
     if not left or not right:
         raise DegenerateSplitError("label bipartition needs both sides non-empty")
 
-    rows = VertexFamily.of(weak_components(spanning_subgraph_by_labels(g, right)))
-    cols = VertexFamily.of(weak_components(spanning_subgraph_by_labels(g, left)))
+    rows = VertexFamily.of(_components(g.vertices, [a for a in g.arcs if a.label in right]))
+    cols = VertexFamily.of(_components(g.vertices, [a for a in g.arcs if a.label in left]))
     return rows, cols
 
 

@@ -301,7 +301,8 @@ def validate(g: Graph) -> list[Diagnostic]:
             continue
         sound_arcs.append(a)
 
-    cycle = _find_cycle(vset, sound_arcs)
+    # On g itself when every arc is sound, so that later queries reuse the adjacency this caches.
+    cycle = _find_cycle(g if len(sound_arcs) == len(g.arcs) else Graph(g.vertices, tuple(sound_arcs)))
     if cycle is not None:
         path = " -> ".join(cycle + [cycle[0]])
         diags.append(Diagnostic("cycle", f"directed cycle {path}", tuple(cycle)))
@@ -309,57 +310,53 @@ def validate(g: Graph) -> list[Diagnostic]:
     return diags
 
 
-def _kahn(vertices: Iterable[str], arcs: Iterable[Arc]) -> tuple[list[str], dict[str, list[str]], dict[str, int]]:
-    """Kahn's algorithm, smallest ready id first: (order, successors, leftover in-degrees).
+def _kahn(g: Graph) -> tuple[list[str], dict[str, int]]:
+    """Kahn's algorithm on ``g``'s cached adjacency, smallest ready id first: (order, leftover in-degrees).
 
-    Every arc must join two of ``vertices``.  The order covers them all iff
+    Every arc must join two vertices of ``g``.  The order covers them all iff
     the arcs are acyclic; whatever the queue order, the vertices left with a
     positive in-degree are those on a cycle or downstream of one.
     """
-    succ: dict[str, list[str]] = {v: [] for v in vertices}
-    indeg = dict.fromkeys(succ, 0)
-    for a in arcs:
-        succ[a.tail].append(a.head)
-        indeg[a.head] += 1
-
+    out, inc = g._adjacency
+    indeg = {v: len(arcs) for v, arcs in inc.items()}
     ready = [v for v, n in indeg.items() if n == 0]
     heapq.heapify(ready)
     order: list[str] = []
     while ready:
         v = heapq.heappop(ready)
         order.append(v)
-        for w in succ[v]:
+        for a in out[v]:
+            w = a.head
             indeg[w] -= 1
             if indeg[w] == 0:
                 heapq.heappush(ready, w)
-    return order, succ, indeg
+    return order, indeg
 
 
-def _find_cycle(vertices: Iterable[str], arcs: Iterable[Arc]) -> list[str] | None:
-    """Return the vertices of one directed cycle, or None if acyclic."""
-    order, succ, indeg = _kahn(vertices, arcs)
-    if len(order) == len(succ):
+def _find_cycle(g: Graph) -> list[str] | None:
+    """Return the vertices of one directed cycle of ``g``, or None if acyclic.
+
+    Every arc must join two vertices of ``g``.
+    """
+    order, indeg = _kahn(g)
+    if len(order) == len(indeg):
         return None
 
     # Vertices left over after Kahn's algorithm lie on a cycle or downstream
     # of one; trimming those without a surviving successor leaves only cycle
     # vertices, where walking successors must revisit a vertex.
+    out, inc = g._adjacency
     remnant = {v for v, n in indeg.items() if n > 0}
-    outdeg = {v: sum(w in remnant for w in succ[v]) for v in remnant}
-    trim = [v for v in remnant if outdeg[v] == 0]
-    pred: dict[str, list[str]] = {v: [] for v in remnant}
-    for v in remnant:
-        for w in succ[v]:
-            if w in remnant:
-                pred[w].append(v)
+    outdeg = {v: sum(a.head in remnant for a in out[v]) for v in remnant}
+    trim = [v for v, n in outdeg.items() if n == 0]
     while trim:
         v = trim.pop()
         remnant.discard(v)
-        for u in pred[v]:
-            if u in remnant:
-                outdeg[u] -= 1
-                if outdeg[u] == 0:
-                    trim.append(u)
+        for a in inc[v]:
+            if a.tail in remnant:
+                outdeg[a.tail] -= 1
+                if outdeg[a.tail] == 0:
+                    trim.append(a.tail)
 
     path: list[str] = []
     position: dict[str, int] = {}
@@ -367,18 +364,16 @@ def _find_cycle(vertices: Iterable[str], arcs: Iterable[Arc]) -> list[str] | Non
     while v not in position:
         position[v] = len(path)
         path.append(v)
-        v = min(w for w in succ[v] if w in remnant)
+        v = min(a.head for a in out[v] if a.head in remnant)
     return path[position[v]:]
 
 
 def topological_order(g: Graph) -> list[str]:
-    """Vertices in a deterministic topological order (smallest id first among ready vertices)."""
-    vset = g.vertex_set
-    arcs = [a for a in g.arcs if a.tail in vset and a.head in vset]
-    order, _, _ = _kahn(vset, arcs)
-    if len(order) != len(g.vertices) or len(arcs) != len(g.arcs):
-        raise InvalidGraphError(validate(g))
-    return order
+    """Vertices in a deterministic topological order (smallest id first among ready vertices).
+
+    Raises ``InvalidGraphError`` unless ``g`` passes ``check``.
+    """
+    return _kahn(g.check())[0]
 
 
 def levels(g: Graph) -> dict[str, int]:
@@ -428,15 +423,23 @@ def weak_components(g: Graph) -> list[set[str]]:
     Components are ordered by their smallest contained vertex id, so the
     result is deterministic for a given graph.
     """
-    neighbours: dict[str, set[str]] = {v: set() for v in g.vertices}
-    for a in g.arcs:
+    return _components(g.vertices, g.arcs)
+
+
+def _components(vertices: Iterable[str], arcs: Iterable[Arc]) -> list[set[str]]:
+    """The weak components of ``vertices`` under ``arcs``, in the order of their first vertex.
+
+    Arcs with an end outside ``vertices`` are ignored.
+    """
+    neighbours: dict[str, set[str]] = {v: set() for v in vertices}
+    for a in arcs:
         if a.tail in neighbours and a.head in neighbours:
             neighbours[a.tail].add(a.head)
             neighbours[a.head].add(a.tail)
 
     seen: set[str] = set()
     components: list[set[str]] = []
-    for start in g.vertices:  # already sorted, so components come out ordered
+    for start in neighbours:
         if start in seen:
             continue
         comp = {start}

@@ -78,11 +78,11 @@ def _quotient(g: Graph, image: dict[str, str]) -> Graph:
             redirected[key] = Arc(a.id, tail, head, a.label)
 
     vertices = g.vertex_set.difference(image).union(image.values())
-    arcs = kept + list(redirected.values())
-    cycle = _find_cycle(vertices, arcs)
+    q = Graph(tuple(vertices), tuple(kept + list(redirected.values())))
+    cycle = _find_cycle(q)
     if cycle is not None:
         raise CycleCreatedError(cycle)
-    return _valid_by_construction(Graph(tuple(vertices), tuple(arcs)), g)
+    return _valid_by_construction(q, g)
 
 
 def contract(g: Graph, x: Iterable[str], new_id: str) -> Graph:

@@ -59,7 +59,10 @@ def parse_weight(token: object) -> Fraction:
     if isinstance(token, int):
         return Fraction(token)
     if isinstance(token, str) and _WEIGHT_RE.fullmatch(token):
-        return Fraction(token)
+        try:
+            return Fraction(token)
+        except ValueError as e:  # more digits than Python converts
+            raise GraphFormatError(f"weight token too long: {e}") from None
     raise GraphFormatError(f"weight must be an integer or 'p/q' token, got {token!r}")
 
 
@@ -188,6 +191,8 @@ def parse_graph(text: str | bytes, *, check: bool = True) -> Graph:
         doc = json.loads(_decode(text))
     except json.JSONDecodeError as e:
         raise GraphFormatError(f"malformed JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
+    except ValueError as e:  # an integer with more digits than Python converts
+        raise GraphFormatError(f"JSON number too long: {e}") from None
     except RecursionError:
         raise GraphFormatError("JSON nested too deeply to decode") from None
     return document_to_graph(doc, check=check)

@@ -299,6 +299,11 @@ class TestDecompose:
         code, _, err = run(capsys, "decompose", fx("fig1.json"), "--max-labels", "2")
         assert code == 2 and "label" in err.lower()
 
+    def test_label_budget_variable_must_be_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("VRSP_MAX_LABELS", "x")
+        code, out, err = run(capsys, "decompose", fx("fig1.json"))
+        assert (code, out) == (2, "") and "VRSP_MAX_LABELS must be an integer, got 'x'" in err
+
 
 # SHA-256 of stdout and the exit code of each decomposition command on every
 # bundled fixture: the verifier may change how it decides, never what it prints.
@@ -450,6 +455,24 @@ class TestRobustness:
         code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "UTF-8" in err
+
+    @pytest.mark.parametrize(
+        "weight", ['"1/' + "9" * 5000 + '"', "1" * 5000], ids=["token", "json-integer"]
+    )
+    def test_overlong_weight_is_input_error(self, capsys, tmp_path, weight):
+        # 5000 digits: more than Python converts to an integer by default.
+        path = tmp_path / "long.json"
+        path.write_text(
+            '{"vertices": ["u", "v"], "arcs": ['
+            '{"id": "e", "tail": "u", "head": "v", "action": "a", "weight": ' + weight + "}]}"
+        )
+        code, out, err = run(capsys, "validate", str(path))
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if 0 < limit < 5000:
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and f"limit ({limit} digits)" in err
+        else:
+            assert code != 3
 
     def test_internal_error_exits_3(self, capsys, monkeypatch):
         def broken(g1, g2):

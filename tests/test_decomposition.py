@@ -16,9 +16,18 @@ from vrsp.decomposition import (
     prime_factors,
     verify_decomposition,
 )
-from vrsp.errors import CycleCreatedError, DegenerateSplitError, LabelBudgetError, NotConnectedError
+from vrsp.errors import CycleCreatedError, DegenerateSplitError, GraphError, LabelBudgetError, NotConnectedError
 from vrsp.fixtures import load_family
-from vrsp.graph import Arc, Graph, build_graph, induced_subgraph, is_weakly_connected, label_set
+from vrsp.graph import (
+    Arc,
+    Graph,
+    build_graph,
+    induced_subgraph,
+    is_weakly_connected,
+    label_set,
+    spanning_subgraph_by_labels,
+    weak_components,
+)
 from vrsp.isomorphism import find_isomorphism, is_isomorphism
 from vrsp.products import cartesian, pair_vertex, vrsp
 from vrsp.quotient import VertexFamily, _mint, contract_family
@@ -390,6 +399,22 @@ class TestLayersFromLabelSplit:
         rows, cols = layers_from_label_split(fig1, {L("b"), L("c")})
         for fam in (rows, cols):
             assert fam.union() == fig1.vertex_set
+
+    def test_label_not_in_graph_is_named(self, fig1):
+        with pytest.raises(GraphError, match=r"labels not present in the graph: z,1$"):
+            layers_from_label_split(fig1, {L("a"), L("z")})
+
+    def test_layers_are_the_components_of_the_label_subgraphs(self):
+        rng = random.Random(397)
+        for _ in range(80):
+            g = random_dag(rng, max_vertices=8, max_arcs=12, actions="pqrs")
+            labels = sorted(label_set(g))
+            if len(labels) < 2:
+                continue
+            left = set(rng.sample(labels, rng.randint(1, len(labels) - 1)))
+            rows, cols = layers_from_label_split(g, left)
+            assert rows == VertexFamily.of(weak_components(spanning_subgraph_by_labels(g, set(labels) - left)))
+            assert cols == VertexFamily.of(weak_components(spanning_subgraph_by_labels(g, left)))
 
 
 class TestLabelClasses:

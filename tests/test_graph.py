@@ -32,6 +32,7 @@ from vrsp.graph import (
     levels,
     sources,
     spanning_subgraph_by_labels,
+    topological_order,
     validate,
     weak_components,
 )
@@ -240,6 +241,31 @@ class TestValidate:
         # The cycle check runs on the vertex set, so the repeat is no false cycle.
         assert [(d.code, d.subject) for d in validate(g)] == [("duplicate-vertex-id", ("u",))]
 
+    def test_cycle_is_found_among_the_sound_arcs(self):
+        g = Graph(
+            ("u", "v", "w"),
+            (
+                Arc("e1", "u", "v", L("a")),
+                Arc("e2", "v", "u", L("a")),
+                Arc("e3", "w", "ghost", L("a")),
+                Arc("e4", "w", "w", L("a")),
+            ),
+        )
+        assert [(d.code, d.subject) for d in validate(g)] == [
+            ("dangling-arc", ("e3",)),
+            ("self-loop", ("e4",)),
+            ("cycle", ("u", "v")),
+        ]
+
+    def test_cycle_witness_skips_vertices_downstream_of_it(self):
+        ends = [("a", "b"), ("b", "c"), ("c", "b"), ("c", "d"), ("d", "e"), ("a", "e")]
+        g = Graph(tuple("abcde"), tuple(Arc(f"e{i}", t, h, L("x")) for i, (t, h) in enumerate(ends)))
+        assert [(d.code, d.message) for d in validate(g)] == [("cycle", "directed cycle b -> c -> b")]
+
+    def test_checking_builds_the_adjacency_later_queries_use(self):
+        g = Graph(("u", "v"), (Arc("e1", "u", "v", L("a")),)).check()
+        assert "_adjacency" in g.__dict__
+
     def test_build_graph_rejects_repeated_vertex_ids(self):
         with pytest.raises(InvalidGraphError, match="duplicate-vertex-id"):
             build_graph(["u", "u", "v"], [])
@@ -286,6 +312,13 @@ class TestLevel:
         for g in cases:
             with pytest.raises(InvalidGraphError):
                 levels(g)
+
+    def test_repeated_arc_id_is_invalid_even_when_acyclic(self):
+        g = Graph(("u", "v", "w"), (Arc("e1", "u", "v", L("a")), Arc("e1", "v", "w", L("b"))))
+        assert [d.code for d in validate(g)] == ["duplicate-arc-id"]
+        for query in (topological_order, levels):
+            with pytest.raises(InvalidGraphError, match="duplicate-arc-id"):
+                query(g)
 
 
 class TestSources:
@@ -385,3 +418,10 @@ class TestGraphValue:
     def test_parallel_same_label_arcs_are_distinct(self):
         g = mk("u v", [("e1", "u", "v", "a"), ("e2", "u", "v", "a")])
         assert len(g.arcs) == 2
+
+    def test_degrees_count_parallel_arcs(self):
+        g = mk("u v w", [("e1", "u", "v", "a"), ("e2", "u", "v", "b"), ("e3", "v", "w", "a")])
+        assert [g.out_degree(v) for v in g.vertices] == [2, 1, 0]
+        assert [g.in_degree(v) for v in g.vertices] == [0, 2, 1]
+        with pytest.raises(UnknownVertexError):
+            g.out_degree("x")

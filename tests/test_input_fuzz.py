@@ -1,0 +1,104 @@
+"""Seeded fuzzing of the exit-code contract: unusable input is a GraphError (exit 2), never a crash (exit 3)."""
+
+from __future__ import annotations
+
+import json
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from vrsp.cli import main
+from vrsp.errors import GraphError
+from vrsp.graph import Graph
+from vrsp.serialization import parse_graph
+
+# 5000 digits: more than Python converts to an integer by default.
+_LONG_INTEGER = "1" * 5000
+_LONG_TOKEN = '"1/' + "9" * 5000 + '"'
+_KEYS = ("name", "vertices", "arcs", "id", "tail", "head", "action", "weight")
+_STRINGS = ("u", "v", "w", "", "a", "b", "1", "-2", "3/2", "1/0", "01", "\ud800", "e1")
+
+
+def _list(items: list[str]) -> str:
+    return "[" + ",".join(items) + "]"
+
+
+def _object(fields: dict[str, str]) -> str:
+    return "{" + ",".join(f"{json.dumps(k)}:{v}" for k, v in fields.items()) + "}"
+
+
+def _weighted(*choices: tuple[int, st.SearchStrategy[str]]) -> st.SearchStrategy[str]:
+    """Draw from one of the strategies, each as often as its weight says."""
+    return st.sampled_from([s for weight, s in choices for _ in range(weight)]).flatmap(lambda s: s)
+
+
+# Each strategy draws JSON text, so that integers too long for Python can be written.
+_long = st.sampled_from((_LONG_INTEGER, "-" + _LONG_INTEGER, _LONG_TOKEN))
+_scalars = _weighted(
+    (4, st.sampled_from(("null", "true", "false"))),
+    (4, st.floats().map(json.dumps)),
+    (4, st.integers(-3, 3).map(str)),
+    (4, st.sampled_from(_STRINGS).map(json.dumps)),
+    (4, st.text(max_size=3).map(json.dumps)),
+    (1, _long),
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4).map(_list),
+        st.dictionaries(st.sampled_from(_KEYS), inner, max_size=5).map(_object),
+    ),
+    max_leaves=8,
+)
+
+
+def _mostly(valid: st.SearchStrategy[str]) -> st.SearchStrategy[str]:
+    """``valid`` in three draws of four, else any value."""
+    return _weighted((3, valid), (1, _values))
+
+
+_ids = st.sampled_from(("u", "v", "w")).map(json.dumps)
+# Mostly well-formed graph documents, so that many get past the schema to validation.
+_arcs = st.fixed_dictionaries(
+    {
+        "id": _mostly(st.sampled_from(("e1", "e2", "e3")).map(json.dumps)),
+        "tail": _mostly(_ids),
+        "head": _mostly(_ids),
+        "action": _mostly(st.sampled_from(("a", "b")).map(json.dumps)),
+        "weight": _mostly(_weighted((6, st.sampled_from(('"1"', '"3/2"', "2"))), (1, _long))),
+    }
+).map(_object)
+_graphs = st.fixed_dictionaries(
+    {
+        "vertices": _mostly(st.lists(_ids, max_size=3, unique=True).map(_list)),
+        "arcs": _mostly(st.lists(_arcs, max_size=4).map(_list)),
+    },
+    optional={"name": _mostly(st.just('"g"'))},
+).map(_object)
+_documents = _weighted((1, _values), (3, _graphs))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_documents)
+def test_parse_graph_returns_a_graph_or_raises_a_graph_error(text):
+    for check in (True, False):
+        try:
+            g = parse_graph(text, check=check)
+        except GraphError:
+            continue
+        assert isinstance(g, Graph)
+
+
+@settings(
+    derandomize=True,
+    max_examples=100,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(_documents)
+def test_validate_never_exits_3(tmp_path, capsys, text):
+    path = tmp_path / "g.json"
+    path.write_text(text)  # ASCII: json.dumps escapes the rest
+    code = main(["validate", str(path)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), err

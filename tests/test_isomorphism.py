@@ -196,6 +196,9 @@ class TestBruteForce:
     def test_label_mismatch(self):
         assert not brute_force_isomorphic(path_graph(["a"]), path_graph(["b"], "q"))
 
+    def test_empty_graphs(self):
+        assert brute_force_isomorphic(Graph((), ()), Graph((), ()))
+
     def test_size_limit(self):
         g = build_graph([f"v{i}" for i in range(9)], [])
         with pytest.raises(SizeLimitError):

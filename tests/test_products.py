@@ -166,6 +166,27 @@ class TestVrsp:
             for _ in range(5):
                 assert vrsp(g1, g2, removal_rng=rng) == reference
 
+    def test_equals_the_definition_under_random_removal_orders(self):
+        class Order(random.Random):
+            """Records how many vertices were removable at each step."""
+
+            widths: list[int] = []
+
+            def randrange(self, n):
+                self.widths.append(n)
+                return super().randrange(n)
+
+        # The pairs of acceptance criterion 7a; the removal orders come from their own generator.
+        pairs_rng, order_rng = random.Random(1007), random.Random(1008)
+        for _ in range(10):
+            g1 = random_dag(pairs_rng, max_vertices=5, max_arcs=6, actions="pq", prefix="l", connected=True)
+            g2 = random_dag(pairs_rng, max_vertices=5, max_arcs=6, actions="qr", prefix="r", connected=True)
+            result = vrsp(g1, g2)
+            for _ in range(20):
+                assert result == oracle_vrsp(g1, g2, rng=Order(order_rng.random()))[0]
+        # The orders really vary: many steps chose among several removable vertices.
+        assert sum(n > 1 for n in Order.widths) >= 100
+
 
 class TestCommutativity:
     def test_products_commute_up_to_isomorphism(self):
@@ -226,8 +247,12 @@ def oracle_product(g1: Graph, g2: Graph, synchronise: bool = True) -> Graph:
     return Graph(tuple(names.values()), tuple(arcs))
 
 
-def oracle_vrsp(g1: Graph, g2: Graph) -> tuple[Graph, int]:
-    """VRSP built as the intermediate product, then pruned to the fixpoint; also the removal depth."""
+def oracle_vrsp(g1: Graph, g2: Graph, rng: random.Random | None = None) -> tuple[Graph, int]:
+    """VRSP built as the intermediate product, then pruned to the fixpoint; also the removal depth.
+
+    With ``rng``, each step removes a removable vertex chosen at random, so
+    the definition's removal order varies; without it, the last one found.
+    """
     inter = oracle_product(g1, g2)
     cart_indeg = {pair_vertex(u, x): g1.in_degree(u) + g2.in_degree(x) for u in g1.vertices for x in g2.vertices}
     indeg = {v: inter.in_degree(v) for v in inter.vertices}
@@ -235,6 +260,9 @@ def oracle_vrsp(g1: Graph, g2: Graph) -> tuple[Graph, int]:
     removable = list(depth)
     removed: set[str] = set()
     while removable:
+        if rng is not None:
+            k = rng.randrange(len(removable))
+            removable[k], removable[-1] = removable[-1], removable[k]
         v = removable.pop()
         removed.add(v)
         for a in inter.out_arcs(v):

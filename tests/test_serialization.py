@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from vrsp import graph as graph_module
 from vrsp.cli import main
 from vrsp.errors import GraphFormatError, InvalidGraphError
 from vrsp.graph import Arc, Graph, LabelPair, validate
-from vrsp.fixtures import fixture_path, load_graph
+from vrsp.fixtures import fixture_path, load_family, load_graph
 from vrsp.products import intermediate
 from vrsp.quotient import VertexFamily
 from vrsp.serialization import (
@@ -43,6 +44,15 @@ class TestWeights:
     def test_rejects_inexact_or_malformed(self, bad):
         with pytest.raises(GraphFormatError):
             parse_weight(bad)
+
+    def test_overlong_token_is_a_format_error(self):
+        token = "1/" + "9" * 5000
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if 0 < limit < 5000:
+            with pytest.raises(GraphFormatError, match=rf"weight token too long: .*limit \({limit} digits\)"):
+                parse_weight(token)
+        else:
+            assert parse_weight(token) == Fraction(1, 10**5000 - 1)
 
     def test_trailing_newline_is_not_a_token(self, tmp_path, capsys):
         with pytest.raises(GraphFormatError):
@@ -498,3 +508,11 @@ class TestDot:
         g = mk('a"b c\\d', [("e1", 'a"b', "c\\d", "x")])
         dot = emit_dot(g)
         assert '"a\\"b"' in dot and '"c\\\\d"' in dot
+
+
+class TestFixtures:
+    def test_unknown_name_lists_the_available_ones(self):
+        with pytest.raises(FileNotFoundError, match=r"no fixture 'fig9\.json'; available: .*fig1\.json"):
+            load_graph("fig9")
+        with pytest.raises(FileNotFoundError, match=r"available: .*fig1\.rows"):
+            load_family("fig1", "layers")
