@@ -34,7 +34,6 @@ side is a union of those classes.
 from __future__ import annotations
 
 import os
-from functools import cache
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -50,12 +49,13 @@ from .graph import (
     LabelPair,
     _components,
     _Record,
+    _valid_by_construction,
     is_weakly_connected,
     label_set,
 )
 from .isomorphism import find_isomorphism, is_isomorphism
 from .products import pair_vertex, vrsp
-from .quotient import VertexFamily, _mint, _quotient
+from .quotient import VertexFamily, _acyclic, _mint, _quotient
 
 __all__ = [
     "CONDITION_CODES",
@@ -233,6 +233,15 @@ def _verify(g: Graph, rows: VertexFamily, cols: VertexFamily) -> DecompositionRe
     the FINAL witness v -> (row image of v, col image of v) holds.  When
     some answer needed a search, FINAL builds the product and checks that
     witness, and searches if it fails.
+
+    The quotients are built without a cycle check.  A quotient of g, which
+    has passed ``check``, can fail ``check`` only by a cycle (see
+    :func:`_quotient`).  A quotient whose witness holds is isomorphic to
+    layer 1 of the other family, a subgraph of g, so it is acyclic and is
+    marked valid unchecked.  Only a quotient whose witness fails can have a
+    cycle.  Those quotients are checked, rows before cols and before any
+    search on a quotient, and the first cycle found is C6's answer whatever
+    C4 and C5 found, as when each quotient was checked as it was built.
     """
     row_of = {v: i for i, s in enumerate(rows.sets) for v in s}
     col_of = {v: j for j, s in enumerate(cols.sets) for v in s}
@@ -270,19 +279,21 @@ def _verify(g: Graph, rows: VertexFamily, cols: VertexFamily) -> DecompositionRe
             else ConditionResult(False, f"vertices not covered: {_sample(missing)}")
         )
 
-    # layers[kind]: the sets, the arc buckets and the coordinates of a family.
+    # layers[kind]: the sets, the arc buckets and the coordinates of a family;
+    # first_views[kind]: the view of its layer 1 (None without layers).
     layers = {"row": (rows.sets, row_arcs, col_of), "col": (cols.sets, col_arcs, row_of)}
+    first_views = {
+        kind: _coordinate_view(sets[0], arcs[0], across) if sets else None
+        for kind, (sets, arcs, across) in layers.items()
+    }
+    layer_graphs: dict[tuple[str, int], Graph] = {}
     searched = False
 
-    @cache
-    def view(kind: str, i: int) -> tuple | None:
-        sets, arcs, across = layers[kind]
-        return _coordinate_view(sets[i], arcs[i], across)
-
-    @cache
     def layer(kind: str, i: int) -> Graph:
-        sets, arcs, _ = layers[kind]
-        return Graph(tuple(sets[i]), tuple(arcs[i]))
+        if (kind, i) not in layer_graphs:
+            sets, arcs, _ = layers[kind]
+            layer_graphs[kind, i] = Graph(tuple(sets[i]), tuple(arcs[i]))
+        return layer_graphs[kind, i]
 
     def search(g1: Graph, g2: Graph) -> bool:
         nonlocal searched
@@ -290,8 +301,13 @@ def _verify(g: Graph, rows: VertexFamily, cols: VertexFamily) -> DecompositionRe
         return find_isomorphism(g1, g2) is not None
 
     def alike(kind: str, i: int) -> bool:
-        first_view = view(kind, 0)
-        return first_view is not None and view(kind, i) == first_view or search(layer(kind, 0), layer(kind, i))
+        sets, arcs, across = layers[kind]
+        first_view = first_views[kind]
+        return (
+            first_view is not None
+            and _coordinate_view(sets[i], arcs[i], across) == first_view
+            or search(layer(kind, 0), layer(kind, i))
+        )
 
     # first[kind]: index of the first layer not isomorphic to layer 1, if any.
     first: dict[str, int | None] = {}
@@ -301,13 +317,25 @@ def _verify(g: Graph, rows: VertexFamily, cols: VertexFamily) -> DecompositionRe
         witness = "" if bad is None else f"{kind} layers 1 and {bad + 1} are not isomorphic"
         conditions[code] = ConditionResult(not witness, witness)
 
-    # images[k]: each vertex's fresh id in the quotient by rows (k = 0) or cols (k = 1).
+    # images[k]: each vertex's fresh id in the quotient by rows (k = 0) or
+    # cols (k = 1); kinds[k]: the family whose layer 1 that quotient matches.
     images = (_mint(g, rows, "y~"), _mint(g, cols, "x~"))
-    quotients: list[Graph] = []
+    kinds = ("col", "row")
+    quotients = [_quotient(g, image) for image in images]
+    # matched[k]: whether the witness maps quotient k onto that layer 1,
+    # which makes it acyclic (as the docstring shows).
+    matched = []
+    for q, image, kind in zip(quotients, images, kinds):
+        sets, _, across = layers[kind]
+        first_view = first_views[kind]
+        matched.append(first_view is not None and _quotient_view(q, image, sets[0], across) == first_view)
     c6_witness = ""
-    for image, side in zip(images, ("rows", "cols")):
+    for q, ok, side in zip(quotients, matched, ("rows", "cols")):
+        if ok:
+            _valid_by_construction(q, g)
+            continue
         try:
-            quotients.append(_quotient(g, image))
+            _acyclic(q, g)
         except CycleCreatedError as e:
             c6_witness = f"contracting {side} creates a cycle: {' -> '.join(e.witness)}"
             break
@@ -316,17 +344,10 @@ def _verify(g: Graph, rows: VertexFamily, cols: VertexFamily) -> DecompositionRe
         # fails exactly on the layers that C4/C5 found unlike layer 1.  The
         # witness sends each fresh vertex to the vertex of layer 1 that it
         # contracted.
-        for q, image, side, kind in zip(quotients, images, ("rows", "cols"), ("col", "row")):
-            sets, _, across = layers[kind]
+        for q, ok, side, kind in zip(quotients, matched, ("rows", "cols"), kinds):
             bad = first[kind]
-            if sets:
-                first_view = view(kind, 0)
-                if not (
-                    first_view is not None
-                    and _quotient_view(q, image, sets[0], across) == first_view
-                    or search(q, layer(kind, 0))
-                ):
-                    bad = 0
+            if layers[kind][0] and not (ok or search(q, layer(kind, 0))):
+                bad = 0
             if bad is not None:
                 c6_witness = f"quotient by {side} is not isomorphic to {kind} layer {bad + 1}"
                 break
@@ -443,9 +464,13 @@ def label_classes(g: Graph) -> list[tuple[LabelPair, ...]]:
     meet at a vertex has such a square, and parallel arcs come from one
     factor, so each side of an accepted bipartition is a union of classes.
     Classes are returned sorted, each sorted.
+
+    Labels are numbered, and a list holds each label's class id; a union
+    relabels one of the two classes, which costs O(L) for L labels, at most
+    L - 1 times.  A square is looked for by scanning the far neighbours of
+    one corner for a y != v among those of the other, with no set built.
     """
-    # Labels are numbered for the union-find.  out_nb[v][a] / in_nb[v][a]:
-    # heads / tails of the arcs labelled a at v.
+    # out_nb[v][a] / in_nb[v][a]: heads / tails of the arcs labelled a at v.
     number: dict[LabelPair, int] = {}
     out_nb: dict[str, dict[int, set[str]]] = {v: {} for v in g.vertices}
     in_nb: dict[str, dict[int, set[str]]] = {v: {} for v in g.vertices}
@@ -454,26 +479,7 @@ def label_classes(g: Graph) -> list[tuple[LabelPair, ...]]:
         out_nb[arc.tail].setdefault(a, set()).add(arc.head)
         in_nb[arc.head].setdefault(a, set()).add(arc.tail)
     empty: frozenset[str] = frozenset()
-    parent = list(range(len(number)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def squared(v: str, a: int, ws, w_side, b: int, zs, z_side) -> bool:
-        # The arcs labelled a at v reach ws, those labelled b reach zs.  Each
-        # w, z needs a b-arc at w and an a-arc at z, on the sides w_side and
-        # z_side say, that meet at some vertex y != v.
-        for w in ws:
-            for z in zs:
-                if w == z:
-                    return False
-                common = w_side[w].get(b, empty) & z_side[z].get(a, empty)
-                if len(common) <= (v in common):
-                    return False
-        return True
+    class_of = list(range(len(number)))
 
     # Once every label is in one class, no vertex can change the result.
     n_classes = len(number)
@@ -481,24 +487,44 @@ def label_classes(g: Graph) -> list[tuple[LabelPair, ...]]:
         if n_classes <= 1:
             break
         outs, ins = list(out_nb[v].items()), list(in_nb[v].items())
-        # in/out: w -> v (a), v -> z (b); the square is w -> y (b), y -> z (a).
-        for a, ws in ins:
-            for b, zs in outs:
-                if find(a) != find(b) and not squared(v, a, ws, out_nb, b, zs, in_nb):
-                    parent[find(a)] = find(b)
-                    n_classes -= 1
-        # out/out: v -> w (a), v -> z (b); the square is w -> y (b), z -> y (a).
-        # in/in: w -> v (a), z -> v (b); the square is y -> w (b), y -> z (a).
-        for side, near in ((out_nb, outs), (in_nb, ins)):
-            for i, (a, ws) in enumerate(near):
-                for b, zs in near[i + 1 :]:
-                    if find(a) != find(b) and not squared(v, a, ws, side, b, zs, side):
-                        parent[find(a)] = find(b)
+        # The arcs labelled a at v reach ws, those labelled b reach zs.  Each
+        # w, z needs a b-arc at w and an a-arc at z, on the sides w_side and
+        # z_side, that meet at some vertex y != v:
+        #   in/out: w -> v (a), v -> z (b); the square is w -> y (b), y -> z (a);
+        #   out/out: v -> w (a), v -> z (b); the square is w -> y (b), z -> y (a);
+        #   in/in: w -> v (a), z -> v (b); the square is y -> w (b), y -> z (a).
+        for near_a, w_side, near_b, z_side in (
+            (ins, out_nb, outs, in_nb),
+            (outs, out_nb, outs, out_nb),
+            (ins, in_nb, ins, in_nb),
+        ):
+            for i, (a, ws) in enumerate(near_a):
+                for b, zs in near_b[i + 1 :] if near_a is near_b else near_b:
+                    kept, merged = class_of[a], class_of[b]
+                    if kept == merged:
+                        continue
+                    squared = True
+                    for w in ws:
+                        w_b = w_side[w].get(b, empty)
+                        for z in zs:
+                            squared = False
+                            if w != z:
+                                z_a = z_side[z].get(a, empty)
+                                for y in w_b:
+                                    if y != v and y in z_a:
+                                        squared = True
+                                        break
+                            if not squared:
+                                break
+                        if not squared:
+                            break
+                    if not squared:
+                        class_of = [kept if c == merged else c for c in class_of]
                         n_classes -= 1
 
     classes: dict[int, list[LabelPair]] = {}
     for l, i in number.items():
-        classes.setdefault(find(i), []).append(l)
+        classes.setdefault(class_of[i], []).append(l)
     return sorted(tuple(sorted(c)) for c in classes.values())
 
 

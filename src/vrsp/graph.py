@@ -421,9 +421,33 @@ def weak_components(g: Graph) -> list[set[str]]:
     """Partition of the vertices into weakly connected components.
 
     Components are ordered by their smallest contained vertex id, so the
-    result is deterministic for a given graph.
+    result is deterministic for a given graph.  One search over the cached
+    adjacency, which ``check`` has already built for a checked graph; arcs
+    with an end that is not a vertex are ignored, as in :func:`_components`.
     """
-    return _components(g.vertices, g.arcs)
+    out, inc = g._adjacency
+    seen: set[str] = set()
+    components: list[set[str]] = []
+    for start in out:
+        if start in seen:
+            continue
+        comp = {start}
+        frontier = [start]
+        while frontier:
+            v = frontier.pop()
+            for a in out[v]:
+                w = a.head
+                if w not in comp and w in out:
+                    comp.add(w)
+                    frontier.append(w)
+            for a in inc[v]:
+                w = a.tail
+                if w not in comp and w in out:
+                    comp.add(w)
+                    frontier.append(w)
+        seen |= comp
+        components.append(comp)
+    return components
 
 
 def _components(vertices: Iterable[str], arcs: Iterable[Arc]) -> list[set[str]]:

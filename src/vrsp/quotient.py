@@ -58,10 +58,10 @@ class VertexFamily(_Record):
 def _quotient(g: Graph, image: dict[str, str]) -> Graph:
     """``g`` with each vertex in ``image`` replaced by its image, in one pass over the arcs.
 
-    Arcs with neither end in ``image`` are kept verbatim.  Raises
-    ``CycleCreatedError`` naming one cycle of the result.  The images must
-    be fresh ids or ids of contracted vertices; then the quotient of a graph
-    that has passed ``check`` is valid, and is returned marked so.
+    Arcs with neither end in ``image`` are kept verbatim.  The images must
+    be fresh ids or ids of contracted vertices; then the result of a valid
+    graph has no self-loop, no dangling arc and no repeated id, but may
+    have a cycle, which this does not look for: :func:`_acyclic` does.
     """
     kept: list[Arc] = []
     redirected: dict[tuple[str, str, object], Arc] = {}
@@ -78,7 +78,14 @@ def _quotient(g: Graph, image: dict[str, str]) -> Graph:
             redirected[key] = Arc(a.id, tail, head, a.label)
 
     vertices = g.vertex_set.difference(image).union(image.values())
-    q = Graph(tuple(vertices), tuple(kept + list(redirected.values())))
+    return Graph(tuple(vertices), tuple(kept + list(redirected.values())))
+
+
+def _acyclic(q: Graph, g: Graph) -> Graph:
+    """``q``, a :func:`_quotient` of ``g``, marked valid if ``g`` has passed ``check``.
+
+    Raises ``CycleCreatedError`` naming one cycle of ``q``.
+    """
     cycle = _find_cycle(q)
     if cycle is not None:
         raise CycleCreatedError(cycle)
@@ -103,7 +110,7 @@ def contract(g: Graph, x: Iterable[str], new_id: str) -> Graph:
         raise UnknownVertexError(f"unknown vertex ids {sorted(unknown)!r}")
     if new_id in g.vertex_set - xs:
         raise GraphError(f"replacement vertex id {new_id!r} already present in the graph")
-    return _quotient(g, dict.fromkeys(xs, new_id))
+    return _acyclic(_quotient(g, dict.fromkeys(xs, new_id)), g)
 
 
 def contract_family(
@@ -126,7 +133,7 @@ def contract_family(
     if not isinstance(fam, VertexFamily):
         fam = VertexFamily.of(fam)
     fam.check_against(g)
-    return _quotient(g, _mint(g, fam, id_prefix))
+    return _acyclic(_quotient(g, _mint(g, fam, id_prefix)), g)
 
 
 def _mint(g: Graph, fam: VertexFamily, id_prefix: str) -> dict[str, str]:

@@ -6,9 +6,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from vrsp.fixtures import load_family, load_graph
 from vrsp.graph import Arc, Graph, LabelPair, build_graph, topological_order
+
+# Property tests draw their examples from a fixed seed and keep no example
+# database, so every run of one commit tests the same examples.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def L(action: str, weight=1) -> LabelPair:

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from functools import reduce
+from itertools import combinations
 
 import pytest
 from conftest import L, mk, path_graph, random_dag, random_factor, rename_graph
 
 from vrsp import decomposition
+from vrsp import graph as vrsp_graph
 from vrsp.decomposition import (
     find_decompositions,
     label_classes,
@@ -191,6 +194,23 @@ class TestVerify:
         assert not report.conditions["C6"].passed
         assert "cycle" in report.conditions["C6"].witness
 
+    @pytest.mark.parametrize("rows_witness_holds", [True, False])
+    def test_a_cycle_from_the_cols_outranks_the_rows_answer(self, monkeypatch, rows_witness_holds):
+        # Contracting {u, w} turns u -> v -> w into a cycle.  C5 fails, so
+        # without the cycle C6 would name col layer 2 from the rows quotient.
+        # The arc u -> w, when present, makes the quotient by rows match
+        # col layer 1 by its witness y~1 -> u, y~2 -> w.
+        arcs = [("e1", "u", "v", "a"), ("e2", "v", "w", "b")] + [("e3", "u", "w", "b")] * rows_witness_holds
+        g = mk("u v w", arcs)
+        rows, cols = [{"u", "v"}, {"w"}], [{"u", "w"}, {"v"}]
+        q_rows = contract_family(g, rows, "y~")
+        assert is_isomorphism(q_rows, induced_subgraph(g, cols[0]), {"y~1": "u", "y~2": "w"}) == rows_witness_holds
+        calls = matcher_calls(monkeypatch)
+        report = verify_decomposition(g, rows, cols)
+        assert not report.conditions["C5"].passed
+        assert report.conditions["C6"].witness == "contracting cols creates a cycle: x~1 -> x~2"
+        assert calls == explicit_witness_searches(g, rows, cols, report)
+
 
 def layer_conditions_oracle(g, rows, cols):
     """C4-C6 by definition: every layer against layer 1, each quotient against every layer.
@@ -281,7 +301,7 @@ def random_partition(rng, vertices, k):
 class TestLayerConditionsOracle:
     def test_c4_to_c6_match_the_definition(self):
         rng = random.Random(101)
-        seen = {"C4": 0, "C5": 0, "C6 rows": 0, "C6 cols": 0, "later layer": 0, "FINAL": 0}
+        seen = {"C4": 0, "C5": 0, "C6 rows": 0, "C6 cols": 0, "C6 cycle": 0, "later layer": 0, "FINAL": 0}
         for i in range(90):
             if i % 2:
                 g = random_dag(rng, 7, 10, "pqr", min_vertices=2, connected=True, weights=(1, 2))
@@ -307,6 +327,7 @@ class TestLayerConditionsOracle:
                 seen["C5"] += "col layers" in witnesses
                 seen["C6 rows"] += "quotient by rows" in witnesses
                 seen["C6 cols"] += "quotient by cols" in witnesses
+                seen["C6 cycle"] += "creates a cycle" in witnesses
                 seen["later layer"] += "layer" in got["C6"][1] and not got["C6"][1].endswith("layer 1")
         assert all(seen.values()), seen
 
@@ -463,6 +484,83 @@ class TestLabelClasses:
             g = build_graph(g.vertices, g.arcs + tuple(Arc(f"z{i}", g.vertices[0], head, l) for i, l in enumerate(labels)))
             assert label_classes(g) == [tuple(labels)]
             assert find_decompositions(g) == exhaustive_decompositions(g) == []
+
+
+def label_classes_oracle(g):
+    """:func:`label_classes` by its definition, one pair of arcs at a time.
+
+    Two arcs e, f at v with labels a != b, and far ends w, z, are united
+    unless some vertex y != v closes their square: an arc labelled b between
+    w and y, directed as f is at v, and one labelled a between z and y,
+    directed as e is at v.  Every y is tried.  Parallel arcs have one far
+    end, so no y closes their square.
+    """
+    parent = {l: l for l in label_set(g)}
+
+    def find(l):
+        while parent[l] is not l:
+            l = parent[l]
+        return l
+
+    def far(arc, v):
+        return arc.head if arc.tail == v else arc.tail
+
+    def copy_at(end, y, arc, v):
+        """Whether an arc between ``end`` and ``y`` carries ``arc``'s label and direction at ``v``."""
+        tail, head = (end, y) if arc.tail == v else (y, end)
+        return any(a.tail == tail and a.head == head and a.label is arc.label for a in g.arcs)
+
+    for v in g.vertices:
+        at_v = [a for a in g.arcs if v in (a.tail, a.head)]
+        for e, f in combinations(at_v, 2):
+            if e.label is f.label:
+                continue
+            w, z = far(e, v), far(f, v)
+            squared = w != z and any(
+                y != v and copy_at(w, y, f, v) and copy_at(z, y, e, v) for y in g.vertices
+            )
+            if not squared:
+                parent[find(e.label)] = find(f.label)
+
+    classes = {}
+    for l in parent:
+        classes.setdefault(find(l), []).append(l)
+    return sorted(tuple(sorted(c)) for c in classes.values())
+
+
+class TestLabelClassesOracle:
+    def test_equals_the_definition(self):
+        rng = random.Random(223)
+        seen = Counter()
+        for i in range(200):
+            if i % 4 == 0:
+                # Many labels on few arcs: a pair of labels meets at few vertices,
+                # so a class must be merged whole the first time.
+                g = random_dag(rng, 8, 8, "abcdefgh", weights=(1, 2))
+            elif i % 4 == 1:
+                parallel = random_dag(rng, 4, 6, "pq", min_vertices=2, connected=True)
+                g = cartesian(parallel, random_factor(rng, "rs", 4, "r"))
+            elif i % 4 == 2:
+                # Few labels and many arcs: several arcs of one label at a vertex.
+                g = random_dag(rng, 5, 14, "pq", min_vertices=2, connected=True)
+            else:
+                g = cartesian(random_factor(rng, "pq", 4, "l"), random_factor(rng, "rs", 4, "r"))
+            classes = label_classes(g)
+            assert classes == label_classes_oracle(g)
+            seen["split"] += len(classes) > 1
+            seen["one class"] += len(classes) == 1
+            seen["same label twice at a vertex"] += any(
+                n > 1 for n in Counter((a.tail, a.label) for a in g.arcs).values()
+            )
+        assert all(seen[key] for key in ("split", "one class", "same label twice at a vertex")), seen
+
+    def test_the_middle_vertex_closes_no_square(self):
+        # w -b-> v -a-> z would close the square of w -a-> v -b-> z at y = v.
+        g = mk(
+            "w v z",
+            [("e1", "w", "v", "a"), ("e2", "v", "z", "b"), ("e3", "w", "v", "b"), ("e4", "v", "z", "a")],
+        )
+        assert label_classes(g) == label_classes_oracle(g) == [(L("a"), L("b"))]
 
 
 def exhaustive_decompositions(g):
@@ -633,6 +731,26 @@ class TestPrimeFactors:
         primes = prime_factors(cube)
         assert len(verified) <= k - 1
         assert primes == expected and len(primes) == k
+
+
+    @pytest.mark.parametrize("name", ["fig1", "cube"])
+    def test_factors_come_out_valid(self, monkeypatch, fig1, name):
+        # Every factor is marked valid where it is made, whether its cycle
+        # check ran or its coordinate witness made it needless, so the
+        # recursion validates nothing.
+        g = fig1 if name == "fig1" else labelled_cube(3)
+        g.check()
+        validated = []
+
+        def counting(h):
+            validated.append(h)
+            return validate(h)
+
+        validate = vrsp_graph.validate
+        monkeypatch.setattr(vrsp_graph, "validate", counting)
+        primes = prime_factors(g)
+        assert len(primes) == (2 if name == "fig1" else 3)
+        assert validated == []
 
 
 def labelled_cube(k: int) -> Graph:

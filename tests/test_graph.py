@@ -24,6 +24,7 @@ from vrsp.graph import (
     Arc,
     Graph,
     LabelPair,
+    _components,
     build_graph,
     induced_subgraph,
     is_weakly_connected,
@@ -407,6 +408,44 @@ class TestWeakComponents:
 
     def test_empty_graph_not_connected(self):
         assert not is_weakly_connected(Graph((), ()))
+
+    @pytest.mark.parametrize(
+        "vertices, arcs",
+        [
+            ("u v", [("e1", "u", "v"), ("e2", "x", "v")]),  # dangling tail
+            ("u v", [("e1", "u", "v"), ("e2", "u", "x")]),  # dangling head
+            ("u v w", [("e1", "u", "x"), ("e2", "x", "w")]),  # joined only through a missing vertex
+            ("u v", [("e1", "u", "u"), ("e2", "u", "v")]),  # self-loop
+            ("u v", [("e1", "v", "v")]),  # a self-loop joins nothing
+            ("u u v w", [("e1", "u", "v")]),  # repeated vertex id
+            ("", []),
+            ("", [("e1", "u", "v")]),  # arcs and no vertices
+        ],
+    )
+    def test_unchecked_graphs_match_the_arc_based_components(self, vertices, arcs):
+        g = Graph(tuple(vertices.split()), tuple(Arc(i, t, h, L("a")) for i, t, h in arcs))
+        expected = _components(g.vertices, g.arcs)
+        assert weak_components(g) == expected
+        assert is_weakly_connected(g) == (len(expected) == 1)
+
+    def test_random_unchecked_graphs_match_the_arc_based_components(self):
+        # Ends are drawn from a pool wider than the vertices, so arcs dangle;
+        # vertex ids repeat, and tails may equal heads.
+        rng = random.Random(211)
+        seen = Counter()
+        for _ in range(100):
+            pool = [f"v{i}" for i in range(rng.randint(1, 9))]
+            vertices = [rng.choice(pool) for _ in range(rng.randint(0, len(pool)))]
+            arcs = [Arc(f"e{k}", rng.choice(pool), rng.choice(pool), L("a")) for k in range(rng.randint(0, 10))]
+            g = Graph(tuple(vertices), tuple(arcs))
+            expected = _components(g.vertices, g.arcs)
+            assert weak_components(g) == expected
+            assert is_weakly_connected(g) == (len(expected) == 1)
+            codes = {d.code for d in validate(g)}
+            seen.update(codes)
+            seen["connected"] += len(expected) == 1
+            seen["split"] += len(expected) > 1
+        assert all(seen[key] for key in ("dangling-arc", "self-loop", "duplicate-vertex-id", "connected", "split")), seen
 
 
 class TestGraphValue:
