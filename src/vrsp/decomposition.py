@@ -426,7 +426,8 @@ def layers_from_label_split(
 
     Rows are the weak components of g's vertices under the arcs with the
     complement labels, cols those under the arcs with ``left_labels``; both
-    are vertex partitions of g by construction.
+    are vertex partitions of g by construction.  Each is one search over g's
+    cached adjacency that skips the other side's arcs.
     """
     labels = label_set(g)
     left = set(left_labels)
@@ -437,9 +438,7 @@ def layers_from_label_split(
     if not left or not right:
         raise DegenerateSplitError("label bipartition needs both sides non-empty")
 
-    rows = VertexFamily.of(_components(g.vertices, [a for a in g.arcs if a.label in right]))
-    cols = VertexFamily.of(_components(g.vertices, [a for a in g.arcs if a.label in left]))
-    return rows, cols
+    return VertexFamily.of(_components(g, left)), VertexFamily.of(_components(g, right))
 
 
 def _resolve_label_budget(max_labels: int | None) -> int:

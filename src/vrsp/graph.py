@@ -26,7 +26,7 @@ import heapq
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, total_ordering
-from typing import Iterable, NamedTuple
+from typing import Container, Iterable, NamedTuple
 
 from .errors import InvalidGraphError, UnknownVertexError
 
@@ -421,9 +421,18 @@ def weak_components(g: Graph) -> list[set[str]]:
     """Partition of the vertices into weakly connected components.
 
     Components are ordered by their smallest contained vertex id, so the
-    result is deterministic for a given graph.  One search over the cached
-    adjacency, which ``check`` has already built for a checked graph; arcs
-    with an end that is not a vertex are ignored, as in :func:`_components`.
+    result is deterministic for a given graph.  Arcs with an end that is not
+    a vertex are ignored.
+    """
+    return _components(g, ())
+
+
+def _components(g: Graph, skip: Container[LabelPair]) -> list[set[str]]:
+    """The weak components of ``g``'s vertices under its arcs whose label is not in ``skip``.
+
+    One search over the cached adjacency, which ``check`` has already built
+    for a checked graph.  Components come in the order of their smallest
+    vertex id, and arcs with an end that is not a vertex are ignored.
     """
     out, inc = g._adjacency
     seen: set[str] = set()
@@ -437,41 +446,12 @@ def weak_components(g: Graph) -> list[set[str]]:
             v = frontier.pop()
             for a in out[v]:
                 w = a.head
-                if w not in comp and w in out:
+                if w not in comp and w in out and a.label not in skip:
                     comp.add(w)
                     frontier.append(w)
             for a in inc[v]:
                 w = a.tail
-                if w not in comp and w in out:
-                    comp.add(w)
-                    frontier.append(w)
-        seen |= comp
-        components.append(comp)
-    return components
-
-
-def _components(vertices: Iterable[str], arcs: Iterable[Arc]) -> list[set[str]]:
-    """The weak components of ``vertices`` under ``arcs``, in the order of their first vertex.
-
-    Arcs with an end outside ``vertices`` are ignored.
-    """
-    neighbours: dict[str, set[str]] = {v: set() for v in vertices}
-    for a in arcs:
-        if a.tail in neighbours and a.head in neighbours:
-            neighbours[a.tail].add(a.head)
-            neighbours[a.head].add(a.tail)
-
-    seen: set[str] = set()
-    components: list[set[str]] = []
-    for start in neighbours:
-        if start in seen:
-            continue
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for w in neighbours[v]:
-                if w not in comp:
+                if w not in comp and w in out and a.label not in skip:
                     comp.add(w)
                     frontier.append(w)
         seen |= comp

@@ -40,7 +40,7 @@ class VertexFamily(_Record):
 
     @classmethod
     def of(cls, sets: Iterable[Iterable[str]]) -> "VertexFamily":
-        return cls(tuple(frozenset(s) for s in sets))
+        return cls(tuple(sets))
 
     def __len__(self) -> int:
         return len(self.sets)

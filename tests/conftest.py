@@ -129,6 +129,19 @@ def random_interval_family(rng: random.Random, g: Graph, max_sets: int = 4) -> l
     return pieces
 
 
+def nx_weak_components(vertices, arcs) -> list[set[str]]:
+    """Independent oracle: networkx's weak components of ``vertices`` under the arcs with both ends among them.
+
+    Ordered by smallest vertex id, as ``weak_components`` orders its result.
+    Skips the calling test when networkx is not installed.
+    """
+    nx = pytest.importorskip("networkx")
+    h = nx.MultiDiGraph()
+    h.add_nodes_from(vertices)
+    h.add_edges_from((a.tail, a.head) for a in arcs if a.tail in h and a.head in h)
+    return sorted(nx.weakly_connected_components(h), key=min)
+
+
 @pytest.fixture(scope="session")
 def fig1() -> Graph:
     return load_graph("fig1")

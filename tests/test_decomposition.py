@@ -8,7 +8,7 @@ from functools import reduce
 from itertools import combinations
 
 import pytest
-from conftest import L, mk, path_graph, random_dag, random_factor, rename_graph
+from conftest import L, mk, nx_weak_components, path_graph, random_dag, random_factor, rename_graph
 
 from vrsp import decomposition
 from vrsp import graph as vrsp_graph
@@ -436,6 +436,8 @@ class TestLayersFromLabelSplit:
             rows, cols = layers_from_label_split(g, left)
             assert rows == VertexFamily.of(weak_components(spanning_subgraph_by_labels(g, set(labels) - left)))
             assert cols == VertexFamily.of(weak_components(spanning_subgraph_by_labels(g, left)))
+            assert rows == VertexFamily.of(nx_weak_components(g.vertices, [a for a in g.arcs if a.label not in left]))
+            assert cols == VertexFamily.of(nx_weak_components(g.vertices, [a for a in g.arcs if a.label in left]))
 
 
 class TestLabelClasses:

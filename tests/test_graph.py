@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import L, mk, random_dag
+from conftest import L, mk, nx_weak_components, random_dag
 
 from vrsp.decomposition import find_decompositions
 from vrsp.errors import InvalidGraphError, UnknownVertexError
@@ -24,7 +24,6 @@ from vrsp.graph import (
     Arc,
     Graph,
     LabelPair,
-    _components,
     build_graph,
     induced_subgraph,
     is_weakly_connected,
@@ -424,7 +423,7 @@ class TestWeakComponents:
     )
     def test_unchecked_graphs_match_the_arc_based_components(self, vertices, arcs):
         g = Graph(tuple(vertices.split()), tuple(Arc(i, t, h, L("a")) for i, t, h in arcs))
-        expected = _components(g.vertices, g.arcs)
+        expected = nx_weak_components(g.vertices, g.arcs)
         assert weak_components(g) == expected
         assert is_weakly_connected(g) == (len(expected) == 1)
 
@@ -438,7 +437,7 @@ class TestWeakComponents:
             vertices = [rng.choice(pool) for _ in range(rng.randint(0, len(pool)))]
             arcs = [Arc(f"e{k}", rng.choice(pool), rng.choice(pool), L("a")) for k in range(rng.randint(0, 10))]
             g = Graph(tuple(vertices), tuple(arcs))
-            expected = _components(g.vertices, g.arcs)
+            expected = nx_weak_components(g.vertices, g.arcs)
             assert weak_components(g) == expected
             assert is_weakly_connected(g) == (len(expected) == 1)
             codes = {d.code for d in validate(g)}

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.strategies import composite
 
+from vrsp.decomposition import layers_from_label_split
 from vrsp.graph import (
     Arc,
     Graph,
@@ -54,6 +55,30 @@ def dags_with_interval(draw) -> tuple[Graph, set[str]]:
     return g, set(order[i : j + 1])
 
 
+@composite
+def dags_with_label_split(draw) -> tuple[Graph, set[LabelPair]]:
+    """A DAG with at least two labels, plus a non-empty proper subset of them as the left side."""
+    g = draw(dags())
+    labels = sorted(label_set(g))
+    assume(len(labels) >= 2)
+    left = draw(st.sets(st.sampled_from(labels), min_size=1, max_size=len(labels) - 1))
+    return g, left
+
+
+def _roots(vertices, arcs) -> dict[str, str]:
+    """Each vertex's union-find root under ``arcs``: equal roots iff joined by a path of arcs."""
+    parent = {v: v for v in vertices}
+
+    def find(v: str) -> str:
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for a in arcs:
+        parent[find(a.tail)] = find(a.head)
+    return {v: find(v) for v in vertices}
+
+
 @given(dags())
 def test_generated_graphs_are_valid(g):
     assert validate(g) == []
@@ -66,6 +91,21 @@ def test_weak_components_partition_vertices(g):
         assert comp and not (comp & seen)
         seen |= comp
     assert seen == set(g.vertices)
+
+
+@given(dags_with_label_split())
+def test_label_split_layers_are_the_label_components(pair):
+    g, left = pair
+    rows, cols = layers_from_label_split(g, left)
+    for family, joined_by_left in ((rows, False), (cols, True)):
+        sets = family.sets
+        assert sorted(v for s in sets for v in s) == sorted(g.vertices)
+        arcs = [a for a in g.arcs if (a.label in left) == joined_by_left]
+        for a in arcs:
+            assert any(a.tail in s and a.head in s for s in sets)
+        roots = _roots(g.vertices, arcs)
+        for s in sets:
+            assert len({roots[v] for v in s}) == 1
 
 
 @given(dags())
