@@ -34,6 +34,7 @@ side is a union of those classes.
 from __future__ import annotations
 
 import os
+from itertools import combinations, product
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -48,6 +49,7 @@ from .graph import (
     Graph,
     LabelPair,
     _components,
+    _grouped,
     _Record,
     _valid_by_construction,
     is_weakly_connected,
@@ -55,7 +57,7 @@ from .graph import (
 )
 from .isomorphism import find_isomorphism, is_isomorphism
 from .products import pair_vertex, vrsp
-from .quotient import VertexFamily, _acyclic, _mint, _quotient
+from .quotient import VertexFamily, _acyclic, _image, _index, _quotient
 
 __all__ = [
     "CONDITION_CODES",
@@ -187,7 +189,7 @@ def verify_decomposition(
     cols = cols if isinstance(cols, VertexFamily) else VertexFamily.of(cols)
     rows.check_against(g)
     cols.check_against(g)
-    return _verify(g, rows, cols)
+    return _verify(g, _index(rows), _index(cols))
 
 
 def _check_graph(g: Graph) -> None:
@@ -196,15 +198,21 @@ def _check_graph(g: Graph) -> None:
         raise NotConnectedError("decomposition needs a non-empty weakly connected graph")
 
 
-def _verify(g: Graph, rows: VertexFamily, cols: VertexFamily) -> DecompositionReport:
-    """:func:`verify_decomposition` on a graph and families already checked against it.
+def _verify(g: Graph, row_of: dict[str, int], col_of: dict[str, int]) -> DecompositionReport:
+    """:func:`verify_decomposition` in coordinates: ``row_of``/``col_of`` number each vertex's row/col.
 
-    Each family is a partition of its union, so one pass over the arcs puts
-    every arc into the row layer and the col layer that hold both its ends;
-    the arcs in neither are C1's uncovered arcs.  A layer's coordinates are
-    the other family's set indices of its vertices (None for a vertex in no
-    set of it); its coordinate key maps (coordinate of tail, coordinate of
-    head) to the sorted labels between them (see :func:`_coordinate_view`).
+    Sets are numbered 0, 1, ... in the family's order, and the numbers first
+    appear in the order of the sets' smallest members, in which the
+    quotients name them: the search passes a label split's component
+    indices, :func:`verify_decomposition` each family's ``quotient._index``.
+    A vertex in no set has coordinate None, which C1-C3 see as uncovered.
+
+    One pass over the arcs puts every arc into the row layer and the col
+    layer that hold both its ends, and lists in id order the arcs that cross
+    the rows and the cols, from which the quotients are built; the arcs in
+    neither layer are C1's uncovered arcs.  A layer's coordinates are the
+    other family's numbers of its vertices; its coordinate key counts its
+    arcs by (tail coordinate, head coordinate, label).
 
     Each isomorphism that C4, C5 and C6 ask about is first tried as its
     coordinate witness, and the arc buckets answer it without building a
@@ -236,28 +244,34 @@ def _verify(g: Graph, rows: VertexFamily, cols: VertexFamily) -> DecompositionRe
 
     The quotients are built without a cycle check.  A quotient of g, which
     has passed ``check``, can fail ``check`` only by a cycle (see
-    :func:`_quotient`).  A quotient whose witness holds is isomorphic to
-    layer 1 of the other family, a subgraph of g, so it is acyclic and is
+    ``quotient._quotient``).  A quotient whose witness holds is isomorphic
+    to layer 1 of the other family, a subgraph of g, so it is acyclic and is
     marked valid unchecked.  Only a quotient whose witness fails can have a
     cycle.  Those quotients are checked, rows before cols and before any
     search on a quotient, and the first cycle found is C6's answer whatever
     C4 and C5 found, as when each quotient was checked as it was built.
     """
-    row_of = {v: i for i, s in enumerate(rows.sets) for v in s}
-    col_of = {v: j for j, s in enumerate(cols.sets) for v in s}
-    row_arcs: list[list[Arc]] = [[] for _ in rows.sets]
-    col_arcs: list[list[Arc]] = [[] for _ in cols.sets]
-    uncovered_arcs = []
+    row_sets, col_sets = _grouped(row_of), _grouped(col_of)
+    row_arcs: list[list[Arc]] = [[] for _ in row_sets]
+    col_arcs: list[list[Arc]] = [[] for _ in col_sets]
+    cross_rows, cross_cols = [], []  # the arcs in no row / no col layer, in id order
+    uncovered_arcs: list[str] = []
+    row, col = row_of.get, col_of.get
     for a in g.arcs:
-        i, j = row_of.get(a.tail), col_of.get(a.tail)
-        in_row = i is not None and i == row_of.get(a.head)
-        in_col = j is not None and j == col_of.get(a.head)
+        _, tail, head, _ = a
+        i = row(tail)
+        in_row = i is not None and i == row(head)
         if in_row:
             row_arcs[i].append(a)
-        if in_col:
+        else:
+            cross_rows.append(a)
+        j = col(tail)
+        if j is not None and j == col(head):
             col_arcs[j].append(a)
-        if not (in_row or in_col):
-            uncovered_arcs.append(a.id)
+        else:
+            cross_cols.append(a)
+            if not in_row:
+                uncovered_arcs.append(a.id)
     conditions: dict[str, ConditionResult] = {}
 
     uncovered_vs = g.vertex_set.difference(row_of, col_of)
@@ -279,13 +293,8 @@ def _verify(g: Graph, rows: VertexFamily, cols: VertexFamily) -> DecompositionRe
             else ConditionResult(False, f"vertices not covered: {_sample(missing)}")
         )
 
-    # layers[kind]: the sets, the arc buckets and the coordinates of a family;
-    # first_views[kind]: the view of its layer 1 (None without layers).
-    layers = {"row": (rows.sets, row_arcs, col_of), "col": (cols.sets, col_arcs, row_of)}
-    first_views = {
-        kind: _coordinate_view(sets[0], arcs[0], across) if sets else None
-        for kind, (sets, arcs, across) in layers.items()
-    }
+    # layers[kind]: the sets, the arc buckets and the coordinates of a family.
+    layers = {"row": (row_sets, row_arcs, col_of), "col": (col_sets, col_arcs, row_of)}
     layer_graphs: dict[tuple[str, int], Graph] = {}
     searched = False
 
@@ -300,28 +309,28 @@ def _verify(g: Graph, rows: VertexFamily, cols: VertexFamily) -> DecompositionRe
         searched = True
         return find_isomorphism(g1, g2) is not None
 
-    def alike(kind: str, i: int) -> bool:
-        sets, arcs, across = layers[kind]
-        first_view = first_views[kind]
-        return (
-            first_view is not None
-            and _coordinate_view(sets[i], arcs[i], across) == first_view
-            or search(layer(kind, 0), layer(kind, i))
-        )
-
+    # first_views[kind]: the view of layer 1 (None without layers);
     # first[kind]: index of the first layer not isomorphic to layer 1, if any.
+    first_views: dict[str, tuple | None] = {}
     first: dict[str, int | None] = {}
     for code, kind in (("C4", "row"), ("C5", "col")):
-        unlike = (i for i in range(1, len(layers[kind][0])) if not alike(kind, i))
+        sets, arcs, across = layers[kind]
+        view = first_views[kind] = _coordinate_view(sets[0], arcs[0], across) if sets else None
+        unlike = (
+            i
+            for i in range(1, len(sets))
+            if not (view is not None and _coordinate_view(sets[i], arcs[i], across) == view)
+            and not search(layer(kind, 0), layer(kind, i))
+        )
         bad = first[kind] = next(unlike, None)
         witness = "" if bad is None else f"{kind} layers 1 and {bad + 1} are not isomorphic"
         conditions[code] = ConditionResult(not witness, witness)
 
     # images[k]: each vertex's fresh id in the quotient by rows (k = 0) or
     # cols (k = 1); kinds[k]: the family whose layer 1 that quotient matches.
-    images = (_mint(g, rows, "y~"), _mint(g, cols, "x~"))
+    images = (_image(g, row_of, "y~"), _image(g, col_of, "x~"))
     kinds = ("col", "row")
-    quotients = [_quotient(g, image) for image in images]
+    quotients = [_quotient(g, images[0], cross_rows), _quotient(g, images[1], cross_cols)]
     # matched[k]: whether the witness maps quotient k onto that layer 1,
     # which makes it acyclic (as the docstring shows).
     matched = []
@@ -374,29 +383,29 @@ def _verify(g: Graph, rows: VertexFamily, cols: VertexFamily) -> DecompositionRe
                 False, "graph is not isomorphic to the product of the quotients"
             )
 
-    return DecompositionReport(conditions, (len(rows), len(cols)), factors)
+    return DecompositionReport(conditions, (len(row_sets), len(col_sets)), factors)
 
 
 def _coordinate_view(vertices: Collection[str], arcs: Iterable[Arc], coord: dict[str, int]) -> tuple | None:
     """A layer by coordinates: its coordinate set and its coordinate key.
 
-    The key maps (coord of tail, coord of head) to the sorted labels of the
-    arcs between them.  None when two vertices share a coordinate, so that
-    two views are equal exactly when equal coordinates map one layer onto
-    the other, label multisets and all.
+    The key maps (coord of tail, coord of head, label) to the number of
+    arcs that have them.  None when two vertices share a coordinate, so
+    that two views are equal exactly when equal coordinates map one layer
+    onto the other, label multisets and all.
     """
-    coords = {coord.get(v) for v in vertices}
+    get = coord.get
+    coords = set(map(get, vertices))
     if len(coords) != len(vertices):
         return None
-    key: dict[tuple, list[LabelPair]] = {}
+    key: dict[tuple, int] = {}
     for a in arcs:
-        key.setdefault((coord.get(a.tail), coord.get(a.head)), []).append(a.label)
-    for labels in key.values():
-        labels.sort()
+        k = (get(a.tail), get(a.head), a.label)
+        key[k] = key.get(k, 0) + 1
     return coords, key
 
 
-def _quotient_view(q: Graph, image: dict[str, str], first: frozenset[str], across: dict[str, int]) -> tuple | None:
+def _quotient_view(q: Graph, image: dict[str, str], first: Collection[str], across: dict[str, int]) -> tuple | None:
     """The quotient ``q`` by the coordinates of the layer vertices its fresh vertices contracted.
 
     ``image`` and ``across`` name the same family's sets, and ``across`` is
@@ -405,7 +414,7 @@ def _quotient_view(q: Graph, image: dict[str, str], first: frozenset[str], acros
     the layer's exactly when the map from each fresh vertex to the layer
     vertex it contracted is an isomorphism.
     """
-    coord = {image.get(w): across.get(w) for w in first}
+    coord = dict(zip(map(image.get, first), map(across.get, first)))
     if coord.keys() != q.vertex_set:
         return None
     return _coordinate_view(q.vertices, q.arcs, coord)
@@ -438,7 +447,7 @@ def layers_from_label_split(
     if not left or not right:
         raise DegenerateSplitError("label bipartition needs both sides non-empty")
 
-    return VertexFamily.of(_components(g, left)), VertexFamily.of(_components(g, right))
+    return VertexFamily.of(_grouped(_components(g, left))), VertexFamily.of(_grouped(_components(g, right)))
 
 
 def _resolve_label_budget(max_labels: int | None) -> int:
@@ -485,41 +494,40 @@ def label_classes(g: Graph) -> list[tuple[LabelPair, ...]]:
     for v in g.vertices:
         if n_classes <= 1:
             break
-        outs, ins = list(out_nb[v].items()), list(in_nb[v].items())
+        outs, ins = out_nb[v].items(), in_nb[v].items()
         # The arcs labelled a at v reach ws, those labelled b reach zs.  Each
         # w, z needs a b-arc at w and an a-arc at z, on the sides w_side and
         # z_side, that meet at some vertex y != v:
         #   in/out: w -> v (a), v -> z (b); the square is w -> y (b), y -> z (a);
         #   out/out: v -> w (a), v -> z (b); the square is w -> y (b), z -> y (a);
         #   in/in: w -> v (a), z -> v (b); the square is y -> w (b), y -> z (a).
-        for near_a, w_side, near_b, z_side in (
-            (ins, out_nb, outs, in_nb),
-            (outs, out_nb, outs, out_nb),
-            (ins, in_nb, ins, in_nb),
+        for pairs, w_side, z_side in (
+            (product(ins, outs), out_nb, in_nb),
+            (combinations(outs, 2), out_nb, out_nb),
+            (combinations(ins, 2), in_nb, in_nb),
         ):
-            for i, (a, ws) in enumerate(near_a):
-                for b, zs in near_b[i + 1 :] if near_a is near_b else near_b:
-                    kept, merged = class_of[a], class_of[b]
-                    if kept == merged:
-                        continue
-                    squared = True
-                    for w in ws:
-                        w_b = w_side[w].get(b, empty)
-                        for z in zs:
-                            squared = False
-                            if w != z:
-                                z_a = z_side[z].get(a, empty)
-                                for y in w_b:
-                                    if y != v and y in z_a:
-                                        squared = True
-                                        break
-                            if not squared:
-                                break
+            for (a, ws), (b, zs) in pairs:
+                kept, merged = class_of[a], class_of[b]
+                if kept == merged:
+                    continue
+                squared = True
+                for w in ws:
+                    w_b = w_side[w].get(b, empty)
+                    for z in zs:
+                        squared = False
+                        if w != z:
+                            z_a = z_side[z].get(a, empty)
+                            for y in w_b:
+                                if y != v and y in z_a:
+                                    squared = True
+                                    break
                         if not squared:
                             break
                     if not squared:
-                        class_of = [kept if c == merged else c for c in class_of]
-                        n_classes -= 1
+                        break
+                if not squared:
+                    class_of = [kept if c == merged else c for c in class_of]
+                    n_classes -= 1
 
     classes: dict[int, list[LabelPair]] = {}
     for l, i in number.items():
@@ -545,7 +553,8 @@ def _accepted(g: Graph, max_labels: int | None) -> Iterator[Decomposition]:
     each verified only when it is asked for."""
     _check_graph(g)
     budget = _resolve_label_budget(max_labels)
-    count = len(label_set(g))
+    labels = label_set(g)
+    count = len(labels)
     if count > budget:
         raise LabelBudgetError(f"graph has {count} labels, budget is {budget}")
 
@@ -558,8 +567,9 @@ def _accepted(g: Graph, max_labels: int | None) -> Iterator[Decomposition]:
     candidates.sort()
 
     for left in candidates:
-        rows, cols = layers_from_label_split(g, left)
-        report = _verify(g, rows, cols)
+        # Rows are the components off the left labels, cols those off the others.
+        left_set = set(left)
+        report = _verify(g, _components(g, left_set), _components(g, labels - left_set))
         if report.accepted:
             assert report.factors is not None
             yield Decomposition(left, report.factors, report)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property, total_ordering
+from functools import cached_property, partial, total_ordering
 from typing import Container, Iterable, NamedTuple
 
 from .errors import InvalidGraphError, UnknownVertexError
@@ -169,6 +169,10 @@ class Arc(NamedTuple):
     tail: str
     head: str
     label: LabelPair
+
+
+# An arc from its (id, tail, head, label) tuple, as ``Arc._make`` but without Python-level code.
+_arc = partial(tuple.__new__, Arc)
 
 
 class Diagnostic(_Record):
@@ -424,41 +428,47 @@ def weak_components(g: Graph) -> list[set[str]]:
     result is deterministic for a given graph.  Arcs with an end that is not
     a vertex are ignored.
     """
-    return _components(g, ())
+    return _grouped(_components(g, ()))
 
 
-def _components(g: Graph, skip: Container[LabelPair]) -> list[set[str]]:
-    """The weak components of ``g``'s vertices under its arcs whose label is not in ``skip``.
+def _components(g: Graph, skip: Container[LabelPair]) -> dict[str, int]:
+    """Each vertex's weak component under ``g``'s arcs whose label is not in ``skip``, as a number.
 
-    One search over the cached adjacency, which ``check`` has already built
-    for a checked graph.  Components come in the order of their smallest
-    vertex id, and arcs with an end that is not a vertex are ignored.
+    One search over the cached adjacency (built by ``check``), ignoring arcs
+    with an end that is not a vertex; numbered by smallest vertex id, one after another.
     """
     out, inc = g._adjacency
-    seen: set[str] = set()
-    components: list[set[str]] = []
+    index: dict[str, int] = {}
+    k = 0
     for start in out:
-        if start in seen:
+        if start in index:
             continue
-        comp = {start}
+        index[start] = k
         frontier = [start]
         while frontier:
             v = frontier.pop()
             for a in out[v]:
                 w = a.head
-                if w not in comp and w in out and a.label not in skip:
-                    comp.add(w)
+                if w not in index and w in out and a.label not in skip:
+                    index[w] = k
                     frontier.append(w)
             for a in inc[v]:
                 w = a.tail
-                if w not in comp and w in out and a.label not in skip:
-                    comp.add(w)
+                if w not in index and w in out and a.label not in skip:
+                    index[w] = k
                     frontier.append(w)
-        seen |= comp
-        components.append(comp)
-    return components
+        k += 1
+    return index
+
+
+def _grouped(index: dict[str, int]) -> list[set[str]]:
+    """The sets that ``index`` numbers 0, 1, ..., in that order, from each member's number."""
+    sets: list[set[str]] = [set() for _ in range(len(set(index.values())))]
+    for v, k in index.items():
+        sets[k].add(v)
+    return sets
 
 
 def is_weakly_connected(g: Graph) -> bool:
     """True iff ``g`` is non-empty and has a single weak component."""
-    return len(weak_components(g)) == 1
+    return set(_components(g, ()).values()) == {0}

@@ -34,12 +34,11 @@ diagonals with both source arc ids).
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import partial
 from itertools import product, repeat
 from typing import Collection, Iterable, Literal
 
 from .errors import EmptyFactorError, GraphError
-from .graph import Arc, Graph, LabelPair, _valid_by_construction, label_set, topological_order
+from .graph import Arc, Graph, LabelPair, _arc, _valid_by_construction, label_set, topological_order
 
 __all__ = [
     "ArcClass",
@@ -52,11 +51,6 @@ __all__ = [
 ]
 
 ArcClass = Literal["synchronous", "asynchronous"]
-
-# Builds a product arc from its (id, tail, head, label) tuple as ``Arc._make``
-# does, without the Python-level ``Arc.__new__``.
-_arc = partial(tuple.__new__, Arc)
-
 
 def synchronising_labels(g1: Graph, g2: Graph) -> set[LabelPair]:
     """Labels occurring in both factors; arcs carrying them must synchronise."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import CycleCreatedError, GraphError, UnknownVertexError
-from .graph import Arc, Graph, _find_cycle, _Record, _valid_by_construction
+from .graph import Arc, Graph, LabelPair, _arc, _find_cycle, _Record, _valid_by_construction
 
 __all__ = ["VertexFamily", "contract", "contract_family"]
 
@@ -55,27 +55,28 @@ class VertexFamily(_Record):
         return self
 
 
-def _quotient(g: Graph, image: dict[str, str]) -> Graph:
-    """``g`` with each vertex in ``image`` replaced by its image, in one pass over the arcs.
+def _quotient(g: Graph, image: dict[str, str], arcs: Iterable[Arc]) -> Graph:
+    """``g`` with each vertex in ``image`` replaced by its image, in one pass over ``arcs``.
 
-    Arcs with neither end in ``image`` are kept verbatim.  The images must
-    be fresh ids or ids of contracted vertices; then the result of a valid
-    graph has no self-loop, no dangling arc and no repeated id, but may
-    have a cycle, which this does not look for: :func:`_acyclic` does.
+    ``arcs``, in id order, are all of ``g.arcs`` or only those that cross the
+    sets.  Arcs with neither end in ``image`` are kept verbatim; of
+    redirected arcs that coincide, the first (smallest id) is kept.  The
+    images must be fresh ids or ids of contracted vertices; then the result
+    of a valid graph has no self-loop, no dangling arc and no repeated id,
+    but may have a cycle, which this does not look for: :func:`_acyclic` does.
     """
     kept: list[Arc] = []
-    redirected: dict[tuple[str, str, object], Arc] = {}
-    for a in g.arcs:
-        if a.tail not in image and a.head not in image:
+    redirected: dict[tuple[str, str, LabelPair], Arc] = {}
+    get = image.get
+    for a in arcs:
+        tail, head = get(a.tail), get(a.head)
+        if tail is None and head is None:
             kept.append(a)
             continue
-        tail, head = image.get(a.tail, a.tail), image.get(a.head, a.head)
-        if tail == head:
-            continue
+        tail, head = a.tail if tail is None else tail, a.head if head is None else head
         key = (tail, head, a.label)
-        old = redirected.get(key)
-        if old is None or a.id < old.id:
-            redirected[key] = Arc(a.id, tail, head, a.label)
+        if tail != head and key not in redirected:
+            redirected[key] = _arc((a.id, tail, head, a.label))
 
     vertices = g.vertex_set.difference(image).union(image.values())
     return Graph(tuple(vertices), tuple(kept + list(redirected.values())))
@@ -110,7 +111,7 @@ def contract(g: Graph, x: Iterable[str], new_id: str) -> Graph:
         raise UnknownVertexError(f"unknown vertex ids {sorted(unknown)!r}")
     if new_id in g.vertex_set - xs:
         raise GraphError(f"replacement vertex id {new_id!r} already present in the graph")
-    return _acyclic(_quotient(g, dict.fromkeys(xs, new_id)), g)
+    return _acyclic(_quotient(g, dict.fromkeys(xs, new_id), g.arcs), g)
 
 
 def contract_family(
@@ -133,19 +134,34 @@ def contract_family(
     if not isinstance(fam, VertexFamily):
         fam = VertexFamily.of(fam)
     fam.check_against(g)
-    return _acyclic(_quotient(g, _mint(g, fam, id_prefix)), g)
+    return _acyclic(_quotient(g, _mint(g, fam, id_prefix), g.arcs), g)
 
 
 def _mint(g: Graph, fam: VertexFamily, id_prefix: str) -> dict[str, str]:
     """The fresh vertex of each member of ``fam``, as :func:`contract_family` names them."""
-    # Mint against all of V(g), skipping indices already taken, so the names
-    # are fresh.  Quotients of quotients therefore keep working even when the
-    # prefix repeats.
-    image: dict[str, str] = {}
-    index = 1
-    for s in sorted(fam.sets, key=min):
-        while f"{id_prefix}{index}" in g.vertex_set:
-            index += 1
-        image.update(dict.fromkeys(s, f"{id_prefix}{index}"))
-        index += 1
-    return image
+    return _image(g, _index(fam), id_prefix)
+
+
+def _index(fam: VertexFamily) -> dict[str, int]:
+    """Each member of ``fam`` mapped to its set's position, listed set by set in :func:`_image`'s naming order."""
+    sets = fam.sets
+    return {v: i for i in sorted(range(len(sets)), key=lambda i: min(sets[i])) for v in sets[i]}
+
+
+def _image(g: Graph, index: dict[str, int], id_prefix: str) -> dict[str, str]:
+    """Each vertex of ``index`` mapped to the fresh vertex of its set, named in first-seen order.
+
+    ``index`` numbers disjoint sets 0, 1, ...; :func:`_index` and
+    ``graph._components`` number them so that they are first seen in the
+    order of their smallest members.  Names skip ids of V(g), so quotients
+    of quotients stay fresh even when the prefix repeats.
+    """
+    order = dict.fromkeys(index.values())
+    names = [""] * len(order)
+    count = 1
+    for i in order:
+        while f"{id_prefix}{count}" in g.vertex_set:
+            count += 1
+        names[i] = f"{id_prefix}{count}"
+        count += 1
+    return {v: names[i] for v, i in index.items()}

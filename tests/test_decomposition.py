@@ -33,7 +33,8 @@ from vrsp.graph import (
 )
 from vrsp.isomorphism import find_isomorphism, is_isomorphism
 from vrsp.products import cartesian, pair_vertex, vrsp
-from vrsp.quotient import VertexFamily, _mint, contract_family
+from vrsp.graph import _components, _grouped
+from vrsp.quotient import VertexFamily, _image, _index, _mint, contract_family
 
 
 def matcher_calls(monkeypatch) -> list[tuple]:
@@ -163,6 +164,38 @@ class TestVerify:
         assert report.accepted and report.family_sizes == (20, 20)
         assert calls == dict.fromkeys(calls, 0)
         assert len(built) == 2 and all(b is f for b, f in zip(built, report.factors))
+
+    def test_search_on_the_grid_builds_only_its_factors(self, monkeypatch):
+        # The search hands the split's component indices to the verifier: no
+        # family, no layer graph, no search and no product on the way.
+        g = cartesian(path_graph(["a"] * 19, "y"), path_graph(["b"] * 19, "x"))
+        calls = dict.fromkeys(("is_isomorphism", "find_isomorphism", "vrsp", "VertexFamily"), 0)
+        for name in ("is_isomorphism", "find_isomorphism", "vrsp"):
+
+            def counting(*args, _name=name, _real=getattr(decomposition, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(decomposition, name, counting)
+        family_init = VertexFamily.__init__
+
+        def counting_family(self, sets):
+            calls["VertexFamily"] += 1
+            family_init(self, sets)
+
+        monkeypatch.setattr(VertexFamily, "__init__", counting_family)
+        built = []
+        post_init = Graph.__post_init__
+
+        def recording(self):
+            post_init(self)
+            built.append(self)
+
+        monkeypatch.setattr(Graph, "__post_init__", recording)
+        (found,) = find_decompositions(g)
+        assert found.left_labels == (L("a"),) and found.report.family_sizes == (20, 20)
+        assert calls == dict.fromkeys(calls, 0)
+        assert len(built) == 2 and all(b is f for b, f in zip(built, found.factors))
 
     def test_layers_alike_only_off_the_coordinates_pass(self, monkeypatch):
         # Matching the rows by col set sends u1 -> u2 onto v1 -> v3: only the
@@ -440,6 +473,31 @@ class TestLayersFromLabelSplit:
             assert cols == VertexFamily.of(nx_weak_components(g.vertices, [a for a in g.arcs if a.label in left]))
 
 
+    def test_component_indices_follow_smallest_ids_and_name_the_sets_as_mint(self):
+        # The search names each quotient's vertices from the component
+        # indices, in the order they first appear; that is contract_family's
+        # order only because indices are numbered by smallest vertex id.
+        rng = random.Random(401)
+        for _ in range(40):
+            g = rename_graph(rng, cartesian(random_factor(rng, "pq", 4, "l"), random_factor(rng, "rs", 4, "r")))
+            labels = sorted(label_set(g))
+            left = set(rng.sample(labels, rng.randint(1, len(labels) - 1)))
+            for skip in ((), left, set(labels) - left):
+                index = _components(g, skip)
+                sets = _grouped(index)
+                assert list(dict.fromkeys(index.values())) == list(range(len(sets)))
+                assert [min(s) for s in sets] == sorted(min(s) for s in sets)
+                assert sets == nx_weak_components(g.vertices, [a for a in g.arcs if a.label not in skip])
+                fam = VertexFamily(tuple(sets))
+                assert _image(g, index, "y~") == _mint(g, fam, "y~")
+                # _index lists any family set by set in that order, however it is given.
+                shuffled = list(sets)
+                rng.shuffle(shuffled)
+                shuffled_index = _index(VertexFamily(tuple(shuffled)))
+                assert {v: shuffled[i] for v, i in shuffled_index.items()} == {v: sets[k] for v, k in index.items()}
+                assert _image(g, shuffled_index, "y~") == _mint(g, fam, "y~")
+
+
 class TestLabelClasses:
     def test_two_label_grid(self):
         g = cartesian(path_graph(["a"] * 3, "y"), path_graph(["b"] * 3, "x"))
@@ -678,6 +736,82 @@ class TestFindDecompositions:
                 report = verify_decomposition(graph, rows, cols)
                 if all(report.conditions[c].passed for c in ("C1", "C2", "C3", "C4", "C5", "C6", "C7")):
                     assert report.conditions["FINAL"].passed
+
+
+def search_candidates(monkeypatch) -> list[tuple]:
+    """(g, left side, report) for every candidate that the search verifies from now on.
+
+    The search passes the verifier the component indices of its split; the
+    left side is the skip of the search that numbered the rows.
+    """
+    searches, verified = [], []
+
+    def recording_components(g, skip, _real=decomposition._components):
+        index = _real(g, skip)
+        searches.append((index, skip))
+        return index
+
+    def recording_verify(g, row_of, col_of, _real=decomposition._verify):
+        report = _real(g, row_of, col_of)
+        left = next(skip for index, skip in searches if index is row_of)
+        verified.append((g, tuple(sorted(left)), report))
+        return report
+
+    monkeypatch.setattr(decomposition, "_components", recording_components)
+    monkeypatch.setattr(decomposition, "_verify", recording_verify)
+    return verified
+
+
+class TestSearchAgreesWithTheVerifier:
+    def test_every_verified_candidate_gets_the_public_report(self, monkeypatch):
+        # Each candidate's report equals verify_decomposition's on the same
+        # split, which C4-C6 and FINAL check by definition.  A label split
+        # puts every arc in a layer, so C1-C3 always hold, and its quotients
+        # are acyclic: the classes' squares carry an arc of a quotient cycle
+        # to every vertex of its rows, which would give g an endless path.
+        rng = random.Random(409)
+        verified = search_candidates(monkeypatch)
+        for i in range(100):
+            kind = i % 5
+            if kind == 0:
+                g = cartesian(random_factor(rng, "pq", 4, "l"), random_factor(rng, "rs", 4, "r"))
+            elif kind == 1:
+                sides = (("pq", "a"), ("rs", "b"), ("tu", "c"))
+                g = reduce(cartesian, [random_factor(rng, actions, 3, prefix) for actions, prefix in sides])
+            elif kind == 2:
+                g = cartesian(random_factor(rng, "pq", 4, "l"), random_factor(rng, "rs", 4, "r"))
+                arcs = list(g.arcs)
+                k = rng.randrange(len(arcs))
+                arcs[k] = arcs[k]._replace(label=L(rng.choice("pqrsz")))
+                g = rename_graph(rng, build_graph(g.vertices, arcs))
+            elif kind == 3:
+                # One parallel arc added: the classes stay apart, and every
+                # candidate is rejected.
+                g = cartesian(random_factor(rng, "pq", 4, "l"), random_factor(rng, "rs", 4, "r"))
+                extra = rng.choice(g.arcs)._replace(id="extra", label=L(rng.choice("pqrs")))
+                g = build_graph(g.vertices, g.arcs + (extra,))
+            else:
+                g = random_dag(rng, 8, 10, "abcdefgh", min_vertices=2, connected=True, weights=(1, 2))
+            find_decompositions(g)
+        monkeypatch.undo()
+
+        seen = Counter()
+        for g, left, report in verified:
+            rows, cols = layers_from_label_split(g, left)
+            expected = verify_decomposition(g, rows, cols)
+            assert report == expected
+            assert report.as_dict() == expected.as_dict()
+            got = {code: (res.passed, res.witness) for code, res in report.conditions.items()}
+            oracle = layer_conditions_oracle(g, list(rows.sets), list(cols.sets))
+            if "FINAL" not in got:
+                oracle.pop("FINAL", None)
+            assert {code: got[code] for code in oracle} == oracle
+            failed = set(report.failed_codes())
+            assert not failed & {"C1", "C2", "C3"} and "creates a cycle" not in got["C6"][1]
+            seen["accepted"] += report.accepted
+            seen["C4/C5"] += bool(failed & {"C4", "C5"})
+            seen["C6"] += "C6" in failed
+        assert all(seen[key] for key in ("accepted", "C4/C5", "C6")), seen
 
 
 class TestPrimeFactors:
