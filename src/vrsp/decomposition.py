@@ -473,19 +473,15 @@ def label_classes(g: Graph) -> list[tuple[LabelPair, ...]]:
     factor, so each side of an accepted bipartition is a union of classes.
     Classes are returned sorted, each sorted.
 
-    Labels are numbered, and a list holds each label's class id; a union
-    relabels one of the two classes, which costs O(L) for L labels, at most
-    L - 1 times.  A square is looked for by scanning the far neighbours of
-    one corner for a y != v among those of the other, with no set built.
+    The label numbers and neighbour tables come from the graph's label
+    index, built once per graph.  A list holds each label's class id; a
+    union relabels one of the two classes, which costs O(L) for L labels,
+    at most L - 1 times.  A square is looked for by scanning the far
+    neighbours of one corner for a y != v among those of the other, with
+    no set built.
     """
     # out_nb[v][a] / in_nb[v][a]: heads / tails of the arcs labelled a at v.
-    number: dict[LabelPair, int] = {}
-    out_nb: dict[str, dict[int, set[str]]] = {v: {} for v in g.vertices}
-    in_nb: dict[str, dict[int, set[str]]] = {v: {} for v in g.vertices}
-    for arc in g.arcs:
-        a = number.setdefault(arc.label, len(number))
-        out_nb[arc.tail].setdefault(a, set()).add(arc.head)
-        in_nb[arc.head].setdefault(a, set()).add(arc.tail)
+    number, out_nb, in_nb = g._label_index
     empty: frozenset[str] = frozenset()
     class_of = list(range(len(number)))
 
@@ -553,7 +549,7 @@ def _accepted(g: Graph, max_labels: int | None) -> Iterator[Decomposition]:
     each verified only when it is asked for."""
     _check_graph(g)
     budget = _resolve_label_budget(max_labels)
-    labels = label_set(g)
+    labels = g._label_index[0].keys()
     count = len(labels)
     if count > budget:
         raise LabelBudgetError(f"graph has {count} labels, budget is {budget}")

@@ -208,6 +208,10 @@ class Graph(_Record):
         self.__dict__.update(vertices=vertices, arcs=arcs, name=name)
         self.__post_init__()
 
+    def __reduce__(self):
+        # Rebuild through the constructor, so that a copy carries the fields and none of the caches.
+        return Graph, (self.vertices, self.arcs, self.name)
+
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))
         object.__setattr__(self, "arcs", tuple(sorted(self.arcs)))
@@ -227,6 +231,30 @@ class Graph(_Record):
             if a.head in inc:
                 inc[a.head].append(a)
         return {v: tuple(arcs) for v, arcs in out.items()}, {v: tuple(arcs) for v, arcs in inc.items()}
+
+    @cached_property
+    def _label_index(self) -> tuple[dict[LabelPair, int], dict[str, dict[int, set[str]]], dict[str, dict[int, set[str]]]]:
+        """The labels numbered by first arc, and each vertex's out- and in-neighbours keyed by label number.
+
+        ``number, out_nb, in_nb``: ``out_nb[v][a]`` holds the heads of the arcs
+        labelled ``a`` from ``v``, ``in_nb[v][a]`` the tails of those into it.
+        Every label of the arcs is numbered; arcs with an end that is not a
+        vertex are left out of the neighbour sets.  Built once, read only.
+        """
+        number: dict[LabelPair, int] = {}
+        out_nb: dict[str, dict[int, set[str]]] = {v: {} for v in self.vertices}
+        in_nb: dict[str, dict[int, set[str]]] = {v: {} for v in self.vertices}
+        for arc in self.arcs:
+            a = number.setdefault(arc.label, len(number))
+            tail, head = arc.tail, arc.head
+            if tail in out_nb and head in out_nb:
+                out_nb[tail].setdefault(a, set()).add(head)
+                in_nb[head].setdefault(a, set()).add(tail)
+        return number, out_nb, in_nb
+
+    @cached_property
+    def _weakly_connected(self) -> bool:
+        return set(_components(self, ()).values()) == {0}
 
     def out_arcs(self, v: str) -> tuple[Arc, ...]:
         self._require(v)
@@ -270,6 +298,18 @@ def _valid_by_construction(g: Graph, *inputs: Graph) -> Graph:
     if all("_diagnostics" in h.__dict__ and not h._diagnostics for h in inputs):
         g.__dict__["_diagnostics"] = []
     return g
+
+
+def _connected_by_construction(q: Graph, g: Graph) -> Graph:
+    """Return ``q``, a quotient of ``g``, recorded as weakly connected if ``g`` is known to be.
+
+    Contraction maps every vertex and every arc that joins two vertices onto
+    ``q`` (an arc inside a set onto its fresh vertex), so a path of ``g``
+    maps onto a walk of ``q``.  Then ``is_weakly_connected(q)`` runs no search.
+    """
+    if g.__dict__.get("_weakly_connected"):
+        q.__dict__["_weakly_connected"] = True
+    return q
 
 
 def build_graph(vertices: Iterable[str], arcs: Iterable[Arc], name: str = "") -> Graph:
@@ -470,5 +510,8 @@ def _grouped(index: dict[str, int]) -> list[set[str]]:
 
 
 def is_weakly_connected(g: Graph) -> bool:
-    """True iff ``g`` is non-empty and has a single weak component."""
-    return set(_components(g, ()).values()) == {0}
+    """True iff ``g`` is non-empty and has a single weak component.
+
+    The graph is immutable, so its components are searched at most once.
+    """
+    return g._weakly_connected

@@ -16,7 +16,16 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import CycleCreatedError, GraphError, UnknownVertexError
-from .graph import Arc, Graph, LabelPair, _arc, _find_cycle, _Record, _valid_by_construction
+from .graph import (
+    Arc,
+    Graph,
+    LabelPair,
+    _arc,
+    _connected_by_construction,
+    _find_cycle,
+    _Record,
+    _valid_by_construction,
+)
 
 __all__ = ["VertexFamily", "contract", "contract_family"]
 
@@ -64,6 +73,7 @@ def _quotient(g: Graph, image: dict[str, str], arcs: Iterable[Arc]) -> Graph:
     images must be fresh ids or ids of contracted vertices; then the result
     of a valid graph has no self-loop, no dangling arc and no repeated id,
     but may have a cycle, which this does not look for: :func:`_acyclic` does.
+    The result is weakly connected when ``g`` is known to be, and says so.
     """
     kept: list[Arc] = []
     redirected: dict[tuple[str, str, LabelPair], Arc] = {}
@@ -79,7 +89,7 @@ def _quotient(g: Graph, image: dict[str, str], arcs: Iterable[Arc]) -> Graph:
             redirected[key] = _arc((a.id, tail, head, a.label))
 
     vertices = g.vertex_set.difference(image).union(image.values())
-    return Graph(tuple(vertices), tuple(kept + list(redirected.values())))
+    return _connected_by_construction(Graph(tuple(vertices), tuple(kept + list(redirected.values()))), g)
 
 
 def _acyclic(q: Graph, g: Graph) -> Graph:

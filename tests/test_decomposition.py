@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import Counter
 from functools import reduce
 from itertools import combinations
+from typing import Iterator
 
 import pytest
 from conftest import L, mk, nx_weak_components, path_graph, random_dag, random_factor, rename_graph
@@ -588,23 +590,36 @@ def label_classes_oracle(g):
     return sorted(tuple(sorted(c)) for c in classes.values())
 
 
+def label_class_graphs() -> Iterator[Graph]:
+    """The 200 seeded graphs on which :func:`label_classes` meets its oracle."""
+    rng = random.Random(223)
+    for i in range(200):
+        if i % 4 == 0:
+            # Many labels on few arcs: a pair of labels meets at few vertices,
+            # so a class must be merged whole the first time.
+            yield random_dag(rng, 8, 8, "abcdefgh", weights=(1, 2))
+        elif i % 4 == 1:
+            parallel = random_dag(rng, 4, 6, "pq", min_vertices=2, connected=True)
+            yield cartesian(parallel, random_factor(rng, "rs", 4, "r"))
+        elif i % 4 == 2:
+            # Few labels and many arcs: several arcs of one label at a vertex.
+            yield random_dag(rng, 5, 14, "pq", min_vertices=2, connected=True)
+        else:
+            yield cartesian(random_factor(rng, "pq", 4, "l"), random_factor(rng, "rs", 4, "r"))
+
+
+def search_outcome(g: Graph) -> tuple:
+    """The classes and the decompositions of ``g``, or the error that refuses it."""
+    try:
+        return label_classes(g), find_decompositions(g)
+    except GraphError as e:
+        return type(e), str(e)
+
+
 class TestLabelClassesOracle:
     def test_equals_the_definition(self):
-        rng = random.Random(223)
         seen = Counter()
-        for i in range(200):
-            if i % 4 == 0:
-                # Many labels on few arcs: a pair of labels meets at few vertices,
-                # so a class must be merged whole the first time.
-                g = random_dag(rng, 8, 8, "abcdefgh", weights=(1, 2))
-            elif i % 4 == 1:
-                parallel = random_dag(rng, 4, 6, "pq", min_vertices=2, connected=True)
-                g = cartesian(parallel, random_factor(rng, "rs", 4, "r"))
-            elif i % 4 == 2:
-                # Few labels and many arcs: several arcs of one label at a vertex.
-                g = random_dag(rng, 5, 14, "pq", min_vertices=2, connected=True)
-            else:
-                g = cartesian(random_factor(rng, "pq", 4, "l"), random_factor(rng, "rs", 4, "r"))
+        for g in label_class_graphs():
             classes = label_classes(g)
             assert classes == label_classes_oracle(g)
             seen["split"] += len(classes) > 1
@@ -634,6 +649,45 @@ def exhaustive_decompositions(g):
         if report.accepted:
             found.append((left, report.factors))
     return sorted(found, key=lambda item: item[0])
+
+
+class TestGraphIndex:
+    def test_the_index_is_built_once_and_the_components_searched_once(self, monkeypatch, fig1, fig1_rows, fig1_cols):
+        builds, searches = [], []
+
+        def counting_build(g, _real=Graph._label_index.func):
+            builds.append(g)
+            return _real(g)
+
+        def counting_components(g, skip, _real=vrsp_graph._components):
+            if not skip:
+                searches.append(g)
+            return _real(g, skip)
+
+        monkeypatch.setattr(Graph._label_index, "func", counting_build)
+        monkeypatch.setattr(vrsp_graph, "_components", counting_components)
+        g = Graph(fig1.vertices, fig1.arcs, fig1.name)  # no caches yet
+        first = find_decompositions(g)
+        assert len(first) == 1 and find_decompositions(g) == first
+        assert verify_decomposition(g, fig1_rows, fig1_cols).accepted
+        assert len(builds) == 1 and builds[0] is g
+        assert len(searches) == 1 and searches[0] is g
+
+    def test_warm_caches_change_no_answer_and_no_value(self):
+        seen = Counter()
+        for g in label_class_graphs():
+            outcome = search_outcome(g)
+            assert "_label_index" in g.__dict__ and "_weakly_connected" in g.__dict__
+            assert search_outcome(g) == outcome
+            fresh = Graph(g.vertices, g.arcs, g.name)
+            assert fresh == g and hash(fresh) == hash(g) and repr(fresh) == repr(g)
+            assert dataclasses.fields(fresh) == dataclasses.fields(g)
+            assert dataclasses.asdict(fresh) == dataclasses.asdict(g)
+            assert search_outcome(fresh) == outcome
+            found = outcome[1]
+            seen["decomposed"] += isinstance(found, list) and len(found) > 0
+            seen["refused"] += isinstance(found, str)
+        assert seen["decomposed"] and seen["refused"], seen
 
 
 class TestFindDecompositions:
@@ -868,6 +922,22 @@ class TestPrimeFactors:
         assert len(verified) <= k - 1
         assert primes == expected and len(primes) == k
 
+
+    def test_the_cube_searches_its_components_once(self, monkeypatch):
+        # Every factor is a quotient of a connected graph, so it is recorded
+        # as connected where it is made, and no factor is searched again.
+        searches = []
+
+        def counting(g, skip, _real=vrsp_graph._components):
+            if not skip:
+                searches.append(g)
+            return _real(g, skip)
+
+        monkeypatch.setattr(vrsp_graph, "_components", counting)
+        cube = labelled_cube(3)
+        primes = prime_factors(cube)
+        assert len(primes) == 3
+        assert len(searches) == 1 and searches[0] is cube
 
     @pytest.mark.parametrize("name", ["fig1", "cube"])
     def test_factors_come_out_valid(self, monkeypatch, fig1, name):

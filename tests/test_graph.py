@@ -16,8 +16,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import L, mk, nx_weak_components, random_dag
+from conftest import L, mk, nx_weak_components, path_graph, random_dag
 
+from vrsp import graph as vrsp_graph
 from vrsp.decomposition import find_decompositions
 from vrsp.errors import InvalidGraphError, UnknownVertexError
 from vrsp.graph import (
@@ -36,7 +37,7 @@ from vrsp.graph import (
     validate,
     weak_components,
 )
-from vrsp.products import vrsp
+from vrsp.products import cartesian, vrsp
 from vrsp.serialization import emit_graph
 
 
@@ -424,6 +425,8 @@ class TestWeakComponents:
     def test_unchecked_graphs_match_the_arc_based_components(self, vertices, arcs):
         g = Graph(tuple(vertices.split()), tuple(Arc(i, t, h, L("a")) for i, t, h in arcs))
         expected = nx_weak_components(g.vertices, g.arcs)
+        # Asked twice, and again after the components: the kept verdict must not drift.
+        assert is_weakly_connected(g) == is_weakly_connected(g) == (len(expected) == 1)
         assert weak_components(g) == expected
         assert is_weakly_connected(g) == (len(expected) == 1)
 
@@ -438,6 +441,7 @@ class TestWeakComponents:
             arcs = [Arc(f"e{k}", rng.choice(pool), rng.choice(pool), L("a")) for k in range(rng.randint(0, 10))]
             g = Graph(tuple(vertices), tuple(arcs))
             expected = nx_weak_components(g.vertices, g.arcs)
+            assert is_weakly_connected(g) == is_weakly_connected(g) == (len(expected) == 1)
             assert weak_components(g) == expected
             assert is_weakly_connected(g) == (len(expected) == 1)
             codes = {d.code for d in validate(g)}
@@ -463,3 +467,27 @@ class TestGraphValue:
         assert [g.in_degree(v) for v in g.vertices] == [0, 2, 1]
         with pytest.raises(UnknownVertexError):
             g.out_degree("x")
+
+
+class TestCopies:
+    def test_pickles_and_copies_carry_only_the_fields(self, monkeypatch):
+        g = cartesian(path_graph(["a"] * 19, "l"), path_graph(["b"] * 19, "r"))  # the 20x20 grid
+        assert len(find_decompositions(g)) == 1
+        assert {"_diagnostics", "_adjacency", "_label_index", "_weakly_connected"} <= g.__dict__.keys()
+        fresh = Graph(g.vertices, g.arcs, g.name)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.dumps(g, protocol) == pickle.dumps(fresh, protocol)
+
+        validated = []
+
+        def counting(h, _real=vrsp_graph.validate):
+            validated.append(h)
+            return _real(h)
+
+        monkeypatch.setattr(vrsp_graph, "validate", counting)
+        copies = [copy.copy(g), copy.deepcopy(g)]
+        copies += [pickle.loads(pickle.dumps(g, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for h in copies:
+            assert h == g and h.__dict__.keys() == {"vertices", "arcs", "name"}
+            assert h.check() is h and h.check() is h
+        assert len(validated) == len(copies) and all(h is k for h, k in zip(validated, copies))

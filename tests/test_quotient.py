@@ -6,11 +6,11 @@ import random
 from collections import Counter
 
 import pytest
-from conftest import L, mk, path_graph, random_dag, random_interval_family
+from conftest import L, mk, nx_weak_components, path_graph, random_dag, random_interval_family
 
 from vrsp import graph
 from vrsp.errors import CycleCreatedError, GraphError, InvalidGraphError, UnknownVertexError
-from vrsp.graph import Arc, Graph, label_set, validate
+from vrsp.graph import Arc, Graph, is_weakly_connected, label_set, validate
 from vrsp.isomorphism import find_isomorphism
 from vrsp.quotient import VertexFamily, contract, contract_family
 
@@ -217,6 +217,23 @@ class TestContractFamily:
             else:
                 assert contract_family(g, fam, "k~") == expected
         assert cycles >= 30
+
+    def test_quotients_keep_a_known_connectivity_verdict(self):
+        # A quotient of a graph known to be weakly connected is recorded as
+        # connected where it is made; any other quotient is searched when asked.
+        rng = random.Random(31)
+        seen = Counter()
+        for trial in range(200):
+            g = random_dag(rng, actions="pq", min_vertices=2, max_vertices=8, max_arcs=5)
+            if trial % 2:
+                is_weakly_connected(g)
+            fam = random_interval_family(rng, g)
+            q = contract_family(g, fam, "k~") if trial % 4 < 2 else contract(g, fam[0], "k~")
+            recorded = "_weakly_connected" in q.__dict__
+            assert recorded == bool(g.__dict__.get("_weakly_connected"))
+            assert is_weakly_connected(q) == (len(nx_weak_components(q.vertices, q.arcs)) == 1)
+            seen[(recorded, is_weakly_connected(q))] += 1
+        assert len(seen) == 3, seen
 
     def test_minting_skips_taken_ids(self):
         g = mk("y~1 u v", [("e1", "y~1", "u", "a"), ("e2", "u", "v", "b")])
