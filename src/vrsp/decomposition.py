@@ -49,6 +49,7 @@ from .graph import (
     Graph,
     LabelPair,
     _components,
+    _connected_by_construction,
     _grouped,
     _Record,
     _valid_by_construction,
@@ -206,6 +207,7 @@ def _verify(g: Graph, row_of: dict[str, int], col_of: dict[str, int]) -> Decompo
     quotients name them: the search passes a label split's component
     indices, :func:`verify_decomposition` each family's ``quotient._index``.
     A vertex in no set has coordinate None, which C1-C3 see as uncovered.
+    ``g`` has passed :func:`_check_graph`.
 
     One pass over the arcs puts every arc into the row layer and the col
     layer that hold both its ends, and lists in id order the arcs that cross
@@ -377,7 +379,8 @@ def _verify(g: Graph, row_of: dict[str, int], col_of: dict[str, int]) -> Decompo
         # Without a search, the witnesses have already proved FINAL (see above).
         if not searched or _is_product(g, q_rows, q_cols, images):
             conditions["FINAL"] = ConditionResult(True)
-            factors = (q_rows, q_cols)
+            # _check_graph has passed g, so its quotients are weakly connected.
+            factors = (_connected_by_construction(q_rows), _connected_by_construction(q_cols))
         else:
             conditions["FINAL"] = ConditionResult(
                 False, "graph is not isomorphic to the product of the quotients"
@@ -473,61 +476,70 @@ def label_classes(g: Graph) -> list[tuple[LabelPair, ...]]:
     factor, so each side of an accepted bipartition is a union of classes.
     Classes are returned sorted, each sorted.
 
-    The label numbers and neighbour tables come from the graph's label
-    index, built once per graph.  A list holds each label's class id; a
-    union relabels one of the two classes, which costs O(L) for L labels,
-    at most L - 1 times.  A square is looked for by scanning the far
-    neighbours of one corner for a y != v among those of the other, with
-    no set built.
+    A square is looked for from the arcs of one of its corners w, which the
+    graph's adjacency (kept by ``check``) lists, for a far corner y != v
+    joined to the other corner z by an arc of the right label; a set of
+    every arc's (tail, head, label) answers that in one lookup, so no
+    per-label table is built.  The scan is linear in the degree of w.  A
+    dict holds each label's class id; a union relabels one of the two
+    classes, which costs O(L) for L labels, at most L - 1 times.
     """
-    # out_nb[v][a] / in_nb[v][a]: heads / tails of the arcs labelled a at v.
-    number, out_nb, in_nb = g._label_index
-    empty: frozenset[str] = frozenset()
-    class_of = list(range(len(number)))
+    out, inc = g._adjacency
+    ends = {(a.tail, a.head, a.label) for a in g.arcs}
+    class_of = {l: i for i, l in enumerate(dict.fromkeys([a.label for a in g.arcs]))}
+    n_classes = len(class_of)
+
+    def unite(kept: int, merged: int) -> None:
+        nonlocal n_classes
+        for l, c in class_of.items():
+            if c == merged:
+                class_of[l] = kept
+        n_classes -= 1
 
     # Once every label is in one class, no vertex can change the result.
-    n_classes = len(number)
     for v in g.vertices:
         if n_classes <= 1:
             break
-        outs, ins = out_nb[v].items(), in_nb[v].items()
-        # The arcs labelled a at v reach ws, those labelled b reach zs.  Each
-        # w, z needs a b-arc at w and an a-arc at z, on the sides w_side and
-        # z_side, that meet at some vertex y != v:
+        outs, ins = out[v], inc[v]
+        # Arcs labelled a and b at v that reach w and z need an arc labelled
+        # b at w and one labelled a at z that meet at some y != v:
         #   in/out: w -> v (a), v -> z (b); the square is w -> y (b), y -> z (a);
         #   out/out: v -> w (a), v -> z (b); the square is w -> y (b), z -> y (a);
         #   in/in: w -> v (a), z -> v (b); the square is y -> w (b), y -> z (a).
-        for pairs, w_side, z_side in (
-            (product(ins, outs), out_nb, in_nb),
-            (combinations(outs, 2), out_nb, out_nb),
-            (combinations(ins, 2), in_nb, in_nb),
-        ):
-            for (a, ws), (b, zs) in pairs:
-                kept, merged = class_of[a], class_of[b]
-                if kept == merged:
-                    continue
-                squared = True
-                for w in ws:
-                    w_b = w_side[w].get(b, empty)
-                    for z in zs:
-                        squared = False
-                        if w != z:
-                            z_a = z_side[z].get(a, empty)
-                            for y in w_b:
-                                if y != v and y in z_a:
-                                    squared = True
-                                    break
-                        if not squared:
-                            break
-                    if not squared:
+        for e, f in product(ins, outs):
+            a, b = e.label, f.label
+            kept, merged = class_of[a], class_of[b]
+            if kept != merged:
+                w, z = e.tail, f.head
+                for x in out[w] if w != z else ():
+                    if x.label is b and x.head != v and (x.head, z, a) in ends:
                         break
-                if not squared:
-                    class_of = [kept if c == merged else c for c in class_of]
-                    n_classes -= 1
+                else:
+                    unite(kept, merged)
+        for e, f in combinations(outs, 2):
+            a, b = e.label, f.label
+            kept, merged = class_of[a], class_of[b]
+            if kept != merged:
+                w, z = e.head, f.head
+                for x in out[w] if w != z else ():
+                    if x.label is b and x.head != v and (z, x.head, a) in ends:
+                        break
+                else:
+                    unite(kept, merged)
+        for e, f in combinations(ins, 2):
+            a, b = e.label, f.label
+            kept, merged = class_of[a], class_of[b]
+            if kept != merged:
+                w, z = e.tail, f.tail
+                for x in inc[w] if w != z else ():
+                    if x.label is b and x.tail != v and (x.tail, z, a) in ends:
+                        break
+                else:
+                    unite(kept, merged)
 
     classes: dict[int, list[LabelPair]] = {}
-    for l, i in number.items():
-        classes.setdefault(class_of[i], []).append(l)
+    for l, c in class_of.items():
+        classes.setdefault(c, []).append(l)
     return sorted(tuple(sorted(c)) for c in classes.values())
 
 
@@ -549,7 +561,7 @@ def _accepted(g: Graph, max_labels: int | None) -> Iterator[Decomposition]:
     each verified only when it is asked for."""
     _check_graph(g)
     budget = _resolve_label_budget(max_labels)
-    labels = g._label_index[0].keys()
+    labels = label_set(g)
     count = len(labels)
     if count > budget:
         raise LabelBudgetError(f"graph has {count} labels, budget is {budget}")

@@ -232,30 +232,6 @@ class Graph(_Record):
                 inc[a.head].append(a)
         return {v: tuple(arcs) for v, arcs in out.items()}, {v: tuple(arcs) for v, arcs in inc.items()}
 
-    @cached_property
-    def _label_index(self) -> tuple[dict[LabelPair, int], dict[str, dict[int, set[str]]], dict[str, dict[int, set[str]]]]:
-        """The labels numbered by first arc, and each vertex's out- and in-neighbours keyed by label number.
-
-        ``number, out_nb, in_nb``: ``out_nb[v][a]`` holds the heads of the arcs
-        labelled ``a`` from ``v``, ``in_nb[v][a]`` the tails of those into it.
-        Every label of the arcs is numbered; arcs with an end that is not a
-        vertex are left out of the neighbour sets.  Built once, read only.
-        """
-        number: dict[LabelPair, int] = {}
-        out_nb: dict[str, dict[int, set[str]]] = {v: {} for v in self.vertices}
-        in_nb: dict[str, dict[int, set[str]]] = {v: {} for v in self.vertices}
-        for arc in self.arcs:
-            a = number.setdefault(arc.label, len(number))
-            tail, head = arc.tail, arc.head
-            if tail in out_nb and head in out_nb:
-                out_nb[tail].setdefault(a, set()).add(head)
-                in_nb[head].setdefault(a, set()).add(tail)
-        return number, out_nb, in_nb
-
-    @cached_property
-    def _weakly_connected(self) -> bool:
-        return set(_components(self, ()).values()) == {0}
-
     def out_arcs(self, v: str) -> tuple[Arc, ...]:
         self._require(v)
         return self._adjacency[0][v]
@@ -300,15 +276,15 @@ def _valid_by_construction(g: Graph, *inputs: Graph) -> Graph:
     return g
 
 
-def _connected_by_construction(q: Graph, g: Graph) -> Graph:
-    """Return ``q``, a quotient of ``g``, recorded as weakly connected if ``g`` is known to be.
+def _connected_by_construction(q: Graph) -> Graph:
+    """Return ``q``, a quotient of a weakly connected graph, recorded as weakly connected.
 
     Contraction maps every vertex and every arc that joins two vertices onto
-    ``q`` (an arc inside a set onto its fresh vertex), so a path of ``g``
+    ``q`` (an arc inside a set onto its fresh vertex), so a path of the graph
     maps onto a walk of ``q``.  Then ``is_weakly_connected(q)`` runs no search.
+    Only a construction records this; a search's verdict is not kept.
     """
-    if g.__dict__.get("_weakly_connected"):
-        q.__dict__["_weakly_connected"] = True
+    q.__dict__["_connected"] = True
     return q
 
 
@@ -512,6 +488,6 @@ def _grouped(index: dict[str, int]) -> list[set[str]]:
 def is_weakly_connected(g: Graph) -> bool:
     """True iff ``g`` is non-empty and has a single weak component.
 
-    The graph is immutable, so its components are searched at most once.
+    A graph recorded as connected where it was made is not searched.
     """
-    return g._weakly_connected
+    return "_connected" in g.__dict__ or set(_components(g, ()).values()) == {0}

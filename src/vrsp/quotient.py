@@ -16,16 +16,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import CycleCreatedError, GraphError, UnknownVertexError
-from .graph import (
-    Arc,
-    Graph,
-    LabelPair,
-    _arc,
-    _connected_by_construction,
-    _find_cycle,
-    _Record,
-    _valid_by_construction,
-)
+from .graph import Arc, Graph, LabelPair, _arc, _connected_by_construction, _find_cycle, _Record, _valid_by_construction
 
 __all__ = ["VertexFamily", "contract", "contract_family"]
 
@@ -73,7 +64,7 @@ def _quotient(g: Graph, image: dict[str, str], arcs: Iterable[Arc]) -> Graph:
     images must be fresh ids or ids of contracted vertices; then the result
     of a valid graph has no self-loop, no dangling arc and no repeated id,
     but may have a cycle, which this does not look for: :func:`_acyclic` does.
-    The result is weakly connected when ``g`` is known to be, and says so.
+    The result is recorded as weakly connected when ``g`` is.
     """
     kept: list[Arc] = []
     redirected: dict[tuple[str, str, LabelPair], Arc] = {}
@@ -89,7 +80,8 @@ def _quotient(g: Graph, image: dict[str, str], arcs: Iterable[Arc]) -> Graph:
             redirected[key] = _arc((a.id, tail, head, a.label))
 
     vertices = g.vertex_set.difference(image).union(image.values())
-    return _connected_by_construction(Graph(tuple(vertices), tuple(kept + list(redirected.values()))), g)
+    q = Graph(tuple(vertices), tuple(kept + list(redirected.values())))
+    return _connected_by_construction(q) if "_connected" in g.__dict__ else q
 
 
 def _acyclic(q: Graph, g: Graph) -> Graph:

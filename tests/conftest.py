@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
+from vrsp import graph as vrsp_graph
 from vrsp.fixtures import load_family, load_graph
 from vrsp.graph import Arc, Graph, LabelPair, build_graph, topological_order
 
@@ -140,6 +141,20 @@ def nx_weak_components(vertices, arcs) -> list[set[str]]:
     h.add_nodes_from(vertices)
     h.add_edges_from((a.tail, a.head) for a in arcs if a.tail in h and a.head in h)
     return sorted(nx.weakly_connected_components(h), key=min)
+
+
+@pytest.fixture
+def component_searches(monkeypatch) -> list[Graph]:
+    """The graphs whose weak components are searched with no label skipped, in call order."""
+    searched: list[Graph] = []
+
+    def spy(g, skip, _real=vrsp_graph._components):
+        if not skip:
+            searched.append(g)
+        return _real(g, skip)
+
+    monkeypatch.setattr(vrsp_graph, "_components", spy)
+    return searched
 
 
 @pytest.fixture(scope="session")

@@ -281,19 +281,11 @@ class TestDecompose:
         assert out == json.dumps(expected, indent=2) + "\n"
         assert sum(graph == fig1 for graph in searched) == 1
 
-    def test_recursive_searches_the_components_of_the_input_only(self, capsys, monkeypatch, fig1):
+    def test_recursive_searches_the_components_of_the_input_only(self, capsys, fig1, component_searches):
         # The factors are quotients of a connected graph, recorded as connected where they are made.
-        searches = []
-
-        def counting(g, skip, _real=graph_module._components):
-            if not skip:
-                searches.append(g)
-            return _real(g, skip)
-
-        monkeypatch.setattr(graph_module, "_components", counting)
         code, out, _ = run(capsys, "decompose", fx("fig1.json"), "--recursive")
         assert code == 0 and len(json.loads(out)["prime_factors"]) == 2
-        assert searches == [fig1]
+        assert component_searches == [fig1]
 
     def test_validates_the_input_once(self, capsys, monkeypatch, fig1):
         checked = []

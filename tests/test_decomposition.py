@@ -651,33 +651,13 @@ def exhaustive_decompositions(g):
     return sorted(found, key=lambda item: item[0])
 
 
-class TestGraphIndex:
-    def test_the_index_is_built_once_and_the_components_searched_once(self, monkeypatch, fig1, fig1_rows, fig1_cols):
-        builds, searches = [], []
-
-        def counting_build(g, _real=Graph._label_index.func):
-            builds.append(g)
-            return _real(g)
-
-        def counting_components(g, skip, _real=vrsp_graph._components):
-            if not skip:
-                searches.append(g)
-            return _real(g, skip)
-
-        monkeypatch.setattr(Graph._label_index, "func", counting_build)
-        monkeypatch.setattr(vrsp_graph, "_components", counting_components)
-        g = Graph(fig1.vertices, fig1.arcs, fig1.name)  # no caches yet
-        first = find_decompositions(g)
-        assert len(first) == 1 and find_decompositions(g) == first
-        assert verify_decomposition(g, fig1_rows, fig1_cols).accepted
-        assert len(builds) == 1 and builds[0] is g
-        assert len(searches) == 1 and searches[0] is g
-
-    def test_warm_caches_change_no_answer_and_no_value(self):
+class TestSearchState:
+    def test_a_search_leaves_no_state_and_changes_no_value(self):
+        # A search keeps nothing on the graph beyond the caches of check().
         seen = Counter()
         for g in label_class_graphs():
             outcome = search_outcome(g)
-            assert "_label_index" in g.__dict__ and "_weakly_connected" in g.__dict__
+            assert g.__dict__.keys() <= {"vertices", "arcs", "name", "vertex_set", "_adjacency", "_diagnostics"}
             assert search_outcome(g) == outcome
             fresh = Graph(g.vertices, g.arcs, g.name)
             assert fresh == g and hash(fresh) == hash(g) and repr(fresh) == repr(g)
@@ -688,6 +668,15 @@ class TestGraphIndex:
             seen["decomposed"] += isinstance(found, list) and len(found) > 0
             seen["refused"] += isinstance(found, str)
         assert seen["decomposed"] and seen["refused"], seen
+
+    def test_each_search_checks_connectivity_and_only_factors_are_recorded(self, component_searches, fig1):
+        g = Graph(fig1.vertices, fig1.arcs, fig1.name)
+        (first,) = find_decompositions(g)
+        assert find_decompositions(g) == [first]
+        assert component_searches == [g, g]
+        assert "_connected" not in g.__dict__
+        assert all("_connected" in f.__dict__ and is_weakly_connected(f) for f in first.factors)
+        assert component_searches == [g, g]
 
 
 class TestFindDecompositions:
@@ -922,22 +911,12 @@ class TestPrimeFactors:
         assert len(verified) <= k - 1
         assert primes == expected and len(primes) == k
 
-
-    def test_the_cube_searches_its_components_once(self, monkeypatch):
+    def test_the_cube_searches_its_components_once(self, component_searches):
         # Every factor is a quotient of a connected graph, so it is recorded
         # as connected where it is made, and no factor is searched again.
-        searches = []
-
-        def counting(g, skip, _real=vrsp_graph._components):
-            if not skip:
-                searches.append(g)
-            return _real(g, skip)
-
-        monkeypatch.setattr(vrsp_graph, "_components", counting)
         cube = labelled_cube(3)
-        primes = prime_factors(cube)
-        assert len(primes) == 3
-        assert len(searches) == 1 and searches[0] is cube
+        assert len(prime_factors(cube)) == 3
+        assert len(component_searches) == 1 and component_searches[0] is cube
 
     @pytest.mark.parametrize("name", ["fig1", "cube"])
     def test_factors_come_out_valid(self, monkeypatch, fig1, name):

@@ -472,11 +472,13 @@ class TestGraphValue:
 class TestCopies:
     def test_pickles_and_copies_carry_only_the_fields(self, monkeypatch):
         g = cartesian(path_graph(["a"] * 19, "l"), path_graph(["b"] * 19, "r"))  # the 20x20 grid
-        assert len(find_decompositions(g)) == 1
-        assert {"_diagnostics", "_adjacency", "_label_index", "_weakly_connected"} <= g.__dict__.keys()
-        fresh = Graph(g.vertices, g.arcs, g.name)
-        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-            assert pickle.dumps(g, protocol) == pickle.dumps(fresh, protocol)
+        (found,) = find_decompositions(g)
+        factor = found.factors[0]  # recorded as connected where it was made
+        assert {"_diagnostics", "_adjacency"} <= g.__dict__.keys() and "_connected" in factor.__dict__
+        for h in (g, factor):
+            fresh = Graph(h.vertices, h.arcs, h.name)
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.dumps(h, protocol) == pickle.dumps(fresh, protocol)
 
         validated = []
 
@@ -485,9 +487,13 @@ class TestCopies:
             return _real(h)
 
         monkeypatch.setattr(vrsp_graph, "validate", counting)
-        copies = [copy.copy(g), copy.deepcopy(g)]
-        copies += [pickle.loads(pickle.dumps(g, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
-        for h in copies:
-            assert h == g and h.__dict__.keys() == {"vertices", "arcs", "name"}
+        originals, copies = [], []
+        for h in (g, factor):
+            made = [copy.copy(h), copy.deepcopy(h)]
+            made += [pickle.loads(pickle.dumps(h, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            originals += [h] * len(made)
+            copies += made
+        for h, original in zip(copies, originals):
+            assert h == original and h.__dict__.keys() == {"vertices", "arcs", "name"}
             assert h.check() is h and h.check() is h
         assert len(validated) == len(copies) and all(h is k for h, k in zip(validated, copies))
