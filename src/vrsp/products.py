@@ -14,9 +14,16 @@ the pairs that the intermediate product reaches from pairs of sources (see
 
 One builder makes all three: the Cartesian product is the intermediate
 product with no synchronising label, and VRSP is the intermediate product
-restricted to those reached pairs.  They are found by a forward search on
-coordinate pairs, over the factors' successor lists, before any arc is
-built, so only the names and arcs of surviving pairs are ever made.
+restricted to those reached pairs.  The builder indexes each factor once,
+in one pass over its arcs, with vertices as integer positions (see
+:func:`_index`).  The name clash check, the search for reached pairs and
+the arc comprehensions all read that index, not the factors' arcs.  The
+reached pairs are found by a forward search on coordinate pairs, taking
+the first factor's vertices in any topological order, before any arc is
+built, so only the names and arcs of surviving pairs are ever made.  The
+search builds no adjacency and no order on a factor, so a product fed back
+in as a factor, as in ``vrsp(vrsp(a, b), c)``, costs the builder one pass
+over its arcs.
 Each product validates its factors on entry (a graph is validated at most
 once); products of valid factors are valid by construction, and are
 returned marked valid, so only clashes of the generated names are checked.
@@ -35,10 +42,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import product, repeat
-from typing import Collection, Iterable, Literal
+from typing import Collection, Literal
 
 from .errors import EmptyFactorError, GraphError
-from .graph import Arc, Graph, LabelPair, _arc, _valid_by_construction, label_set, topological_order
+from .graph import Arc, Graph, LabelPair, _arc, _valid_by_construction, label_set
 
 __all__ = [
     "ArcClass",
@@ -75,44 +82,44 @@ def _require_factors(g1: Graph, g2: Graph) -> None:
     g2.check()
 
 
-def _product(g1: Graph, g2: Graph, shared: Collection[LabelPair], keep: bytearray | None = None) -> Graph:
+def _product(g1: Graph, g2: Graph, shared: Collection[LabelPair], reached_only: bool = False) -> Graph:
     """The intermediate product of two valid factors synchronising on the ``shared`` labels.
 
-    Pairs are numbered i*|V2| + j for (V1[i], V2[j]).  Given ``keep``, only
-    the pairs p with ``keep[p]`` set are built, with their outgoing arcs,
-    whose heads must be kept too.  The name clash check is decided on the
-    factor ids, so it still covers every pair and every arc, kept or not.
+    Each factor is indexed once (see :func:`_index`); the name clash check,
+    :func:`_reachable` and the arc comprehensions all read those indexes.
+    Pairs are numbered i*|V2| + j for (V1[i], V2[j]).  With
+    ``reached_only``, only the pairs that :func:`_reachable` marks are
+    built, with their outgoing arcs, whose heads are marked too.  The name
+    clash check is decided on the factor ids, so it still covers every
+    pair and every arc, kept or not.
     """
     v1, v2 = g1.vertices, g2.vertices
+    index1, index2 = _index(g1, shared), _index(g2, shared)
+    (private1, shared1), (private2, shared2) = index1, index2
     keys1, keys2 = dict.fromkeys(v1), dict.fromkeys(v2)
     if (
         _joins_clash(keys1, keys2, ",")
-        or _joins_clash({a.id: None for a in g1.arcs if a.label not in shared}, keys2, "@")
-        or _joins_clash({b.id: None for b in g2.arcs if b.label not in shared}, keys1, "@")
+        or _joins_clash(dict.fromkeys([a[0] for a in private1]), keys2, "@")
+        or _joins_clash(dict.fromkeys([b[0] for b in private2]), keys1, "@")
         or _joins_clash(
-            {a.id: a.label for a in g1.arcs if a.label in shared},
-            {b.id: b.label for b in g2.arcs if b.label in shared},
+            {a[0]: label for label, arcs in shared1.items() for a in arcs},
+            {b[0]: label for label, arcs in shared2.items() for b in arcs},
             "*",
         )
     ):
         raise GraphError("factor vertex or arc ids collide under pair naming")
 
     n2 = len(v2)
-    row = {u: i * n2 for i, u in enumerate(v1)}
-    col = {x: j for j, x in enumerate(v2)}
     # names[p]: the name of pair p, or None for a pair not kept.  Only tails
-    # need a test; column t of the pairs is names[t::n2], row r names[r:r + n2].
-    kept = repeat(1) if keep is None else keep
+    # need a test; column t of the pairs is names[t::n2], row r names[r * n2:r * n2 + n2].
+    kept = _reachable(index1, index2, len(v1), n2) if reached_only else repeat(1)
     names = [pair_vertex(u, x) if k else None for (u, x), k in zip(product(v1, v2), kept)]
-    # Each factor's arcs are sorted once into private and shared ones, as
-    # pair offsets.  Each kind of product arc is then one comprehension, and
-    # the kinds come in id order (L < R < S), so Graph's sort meets long runs.
-    private1, shared1 = _offsets(g1.arcs, row, shared)
-    private2, shared2 = _offsets(g2.arcs, col, shared)
+    # Each kind of product arc is one comprehension, and the kinds come in
+    # id order (L < R < S), so Graph's sort meets long runs.
     arcs = [
         _arc((f"L:{id_}@{x}", name, head_name, label))
         for id_, t, h, label in private1
-        for x, name, head_name in zip(v2, names[t : t + n2], names[h : h + n2])
+        for x, name, head_name in zip(v2, names[t * n2 : t * n2 + n2], names[h * n2 : h * n2 + n2])
         if name
     ]
     arcs += [
@@ -122,25 +129,27 @@ def _product(g1: Graph, g2: Graph, shared: Collection[LabelPair], keep: bytearra
         if name
     ]
     arcs += [
-        _arc((f"S:{id_}*{id2}", name, names[h + h2], label))
+        _arc((f"S:{id_}*{id2}", name, names[h * n2 + h2], label))
         for label, arcs1 in shared1.items()
         for id_, t, h in arcs1
         for id2, t2, h2 in shared2.get(label, ())
-        if (name := names[t + t2])
+        if (name := names[t * n2 + t2])
     ]
     return _valid_by_construction(Graph(tuple(filter(None, names)), tuple(arcs)), g1, g2)
 
 
-def _offsets(arcs: Iterable[Arc], at: dict[str, int], shared: Collection[LabelPair]) -> tuple[list, dict]:
-    """A factor's arcs as pair offsets: the private ones as (id, tail, head,
-    label), in order, and the shared ones as (id, tail, head) per label."""
+def _index(g: Graph, shared: Collection[LabelPair]) -> tuple[list, dict]:
+    """``g``'s arcs in one pass, ends as positions in ``g.vertices``: the
+    private ones as (id, tail, head, label), in id order, and the shared
+    ones as (id, tail, head) per label."""
+    pos = {v: i for i, v in enumerate(g.vertices)}
     private = []
     by_label: dict[LabelPair, list[tuple[str, int, int]]] = defaultdict(list)
-    for id_, tail, head, label in arcs:
+    for id_, tail, head, label in g.arcs:
         if label in shared:
-            by_label[label].append((id_, at[tail], at[head]))
+            by_label[label].append((id_, pos[tail], pos[head]))
         else:
-            private.append((id_, at[tail], at[head], label))
+            private.append((id_, pos[tail], pos[head], label))
     return private, by_label
 
 
@@ -175,61 +184,73 @@ def _joins_clash(left: dict[str, object], right: dict[str, object], sep: str) ->
     return False
 
 
-def _factor_index(g: Graph, shared: Collection[LabelPair]) -> tuple[list, list, list]:
-    """The sources of ``g`` and, per vertex, its private successors and per
-    shared label its successors, all as positions in ``g.vertices``."""
-    pos = {v: i for i, v in enumerate(g.vertices)}
-    n = len(pos)
-    has_in = bytearray(n)
-    priv_out: list[list[int]] = [[] for _ in range(n)]
-    shared_out: list[dict[LabelPair, list[int]]] = [{} for _ in range(n)]
-    for _, tail, head, label in g.arcs:
-        t, h = pos[tail], pos[head]
-        has_in[h] = 1
-        if label in shared:
-            shared_out[t].setdefault(label, []).append(h)
-        else:
-            priv_out[t].append(h)
-    return [i for i in range(n) if not has_in[i]], priv_out, shared_out
-
-
-def _reachable(g1: Graph, g2: Graph, shared: Collection[LabelPair]) -> bytearray:
+def _reachable(index1: tuple[list, dict], index2: tuple[list, dict], n1: int, n2: int) -> bytearray:
     """Per pair, numbered as in :func:`_product`, 1 if the intermediate product
     reaches it from a pair of sources, else 0.
 
     The arcs out of (u, x) are the private arcs out of u and out of x, and
     per shared label l the l-arcs out of u times the l-arcs out of x, so the
-    search needs no product arc.  It takes the rows (u, ·) in a topological
-    order of g1: a row, closed under the private arcs of g2, is complete,
-    and passes its pairs on along the arcs out of u.
+    search needs no product arc: it reads the factors' indexes (see
+    :func:`_index`).  It takes the rows (u, ·) in any topological order of
+    g1, here Kahn's on positions; g1 passed ``check``, so every row gets its
+    turn.  Each row is kept closed under the private arcs of g2, so a row
+    is complete when its turn comes, and passes its pairs on along the arcs
+    out of u.
     """
-    n2 = len(g2.vertices)
-    sources1, priv1, shared1 = _factor_index(g1, shared)
-    sources2, priv2, shared2 = _factor_index(g2, shared)
-    # rows[i]: the positions x in g2 of the pairs of row i reached so far.
-    rows: list[set[int]] = [set() for _ in g1.vertices]
-    for i in sources1:
-        rows[i].update(sources2)
-    pos1 = {u: i for i, u in enumerate(g1.vertices)}
-    reached = bytearray(len(g1.vertices) * n2)
-    for u in topological_order(g1):
-        i = pos1[u]
-        row = rows[i]
+    indeg1, priv1, shared1 = _successors(index1, n1)
+    indeg2, priv2, shared2 = _successors(index2, n2)
+
+    def closed(row: set[int]) -> set[int]:
         stack = list(row)
         while stack:
             for x in priv2[stack.pop()]:
                 if x not in row:
                     row.add(x)
                     stack.append(x)
+        return row
+
+    # rows[i]: the positions x in g2 of the pairs of row i reached so far.
+    rows: list[set[int]] = [set() for _ in range(n1)]
+    ready = [i for i in range(n1) if not indeg1[i]]
+    start = closed({x for x in range(n2) if not indeg2[x]})
+    for i in ready:
+        rows[i] |= start
+    reached = bytearray(n1 * n2)
+    while ready:
+        i = ready.pop()
+        row = rows[i]
         for h in priv1[i]:
             rows[h] |= row
         for label, heads in shared1[i].items():
-            below = {y for x in row for y in shared2[x].get(label, ())}
+            below = closed({y for x in row for y in shared2[x].get(label, ())})
             for h in heads:
                 rows[h] |= below
+        for heads in (priv1[i], *shared1[i].values()):
+            for h in heads:
+                indeg1[h] -= 1
+                if not indeg1[h]:
+                    ready.append(h)
+        base = i * n2
         for x in row:
-            reached[i * n2 + x] = 1
+            reached[base + x] = 1
     return reached
+
+
+def _successors(index: tuple[list, dict], n: int) -> tuple[list, list, list]:
+    """From a factor's index, per position: its in-degree, its private
+    successors, and per shared label its successors."""
+    private, by_label = index
+    indeg = [0] * n
+    priv_out: list[list[int]] = [[] for _ in range(n)]
+    shared_out: list[dict[LabelPair, list[int]]] = [{} for _ in range(n)]
+    for _, t, h, _ in private:
+        priv_out[t].append(h)
+        indeg[h] += 1
+    for label, arcs in by_label.items():
+        for _, t, h in arcs:
+            shared_out[t].setdefault(label, []).append(h)
+            indeg[h] += 1
+    return indeg, priv_out, shared_out
 
 
 def cartesian(g1: Graph, g2: Graph) -> Graph:
@@ -271,5 +292,4 @@ def vrsp(g1: Graph, g2: Graph, *, removal_rng: object | None = None) -> Graph:
     product.  ``removal_rng`` is accepted and ignored: the result does not
     depend on any removal order.
     """
-    shared = synchronising_labels(g1, g2)
-    return _product(g1, g2, shared, _reachable(g1, g2, shared))
+    return _product(g1, g2, synchronising_labels(g1, g2), reached_only=True)

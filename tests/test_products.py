@@ -6,6 +6,7 @@ import json
 import random
 from collections import Counter, deque
 from fractions import Fraction
+from itertools import chain, islice
 
 import pytest
 from conftest import L, mk, random_dag
@@ -15,7 +16,7 @@ from vrsp.cli import main
 from vrsp.decomposition import verify_decomposition
 from vrsp.errors import EmptyFactorError, GraphError, InvalidGraphError
 from vrsp.fixtures import fixture_dir, fixture_path, load_graph
-from vrsp.graph import Arc, Graph, build_graph, label_set, sources, validate
+from vrsp.graph import Arc, Graph, LabelPair, build_graph, label_set, sources, validate
 from vrsp.isomorphism import find_isomorphism
 from vrsp.products import arc_class, cartesian, intermediate, pair_vertex, synchronising_labels, vrsp
 from vrsp.serialization import graph_to_document
@@ -337,13 +338,15 @@ class TestAgainstOracle:
             return built[-1]
 
         monkeypatch.setattr(products, "_arc", counted)
-        removed = 0
-        for g1, g2 in self.pairs():
+        removed = Counter()
+        # The nested pairs' first factors are built here too, before each count starts.
+        nested = (("nested", vrsp(a, b), c) for a, b, c in compose_triples())
+        for kind, g1, g2 in chain((("plain", *pair) for pair in self.pairs()), nested):
             built.clear()
             result = vrsp(g1, g2)
             assert len(built) == len(result.arcs)
-            removed += len(result.vertices) < len(g1.vertices) * len(g2.vertices)
-        assert removed > 100
+            removed[kind] += len(result.vertices) < len(g1.vertices) * len(g2.vertices)
+        assert removed["plain"] > 100 and removed["nested"] > 100
 
     def test_no_validation_of_products_or_quotients_already_valid(self, monkeypatch, fig1, fig1_rows, fig1_cols):
         a, b, c = (random_dag(random.Random(seed), actions="pqs", prefix=p) for seed, p in ((1, "a"), (2, "b"), (3, "c")))
@@ -461,6 +464,71 @@ class TestReachability:
             seen["no shared label"] += not shared
             seen["removal"] += len(result.vertices) < len(g1.vertices) * len(g2.vertices)
         assert min(seen.values()) > 100, seen
+
+
+def compose_factor(rng: random.Random, prefix: str, syncs: tuple[LabelPair, ...]) -> Graph:
+    """A factor shaped like those of the ``compose`` benchmark, smaller.
+
+    A connected core on the factor's own actions, and for each
+    synchronising label one or two arcs from core vertices into a private
+    chain, so that the label's arcs of two factors pair up k x l.
+    """
+    own = [L(f"{prefix}{action}", rng.choice((1, 2))) for action in "pq"]
+    m = rng.randint(2, 5)
+    vertices = [f"{prefix}{i}" for i in range(m)]
+    ends = [(vertices[rng.randrange(j)], vertices[j], rng.choice(own)) for j in range(1, m)]
+    for _ in range(rng.randint(0, 2)):
+        i, j = sorted(rng.sample(range(m), 2))
+        ends.append((vertices[i], vertices[j], rng.choice(own)))
+    for s, sync in enumerate(syncs):
+        path = [f"{prefix}s{s}c{i}" for i in range(rng.randint(1, 3))]
+        vertices += path
+        ends += [(vertices[rng.randrange(m)], path[0], sync) for _ in range(rng.choice((1, 1, 2)))]
+        ends += [(t, h, rng.choice(own)) for t, h in zip(path, path[1:])]
+    return build_graph(vertices, [Arc(f"{prefix}e{k}", t, h, label) for k, (t, h, label) in enumerate(ends)])
+
+
+def compose_triples():
+    """120 seeded factor triples A, B, C: A and B share one synchronising label, A and C another, B and C a third."""
+    rng = random.Random(83)
+    for _ in range(120):
+        ab, ac, bc = (L(f"sync{pair}", rng.choice((1, 2))) for pair in ("ab", "ac", "bc"))
+        yield compose_factor(rng, "a", (ab, ac)), compose_factor(rng, "b", (ab, bc)), compose_factor(rng, "c", (ac, bc))
+
+
+class TestNestedProducts:
+    """Products whose first factor is itself a VRSP, as in vrsp(vrsp(A, B), C)."""
+
+    def test_products_of_a_product_equal_the_oracle(self):
+        seen = Counter()
+        for a, b, c in compose_triples():
+            inner = oracle_vrsp(a, b)[0]
+            product_ab = vrsp(a, b)
+            assert product_ab == inner
+            for op, oracle in ORACLES.items():
+                assert op(product_ab, c) == oracle(inner, c), op.__name__
+            seen["two shared labels"] += len(synchronising_labels(product_ab, c)) == 2
+            seen["inner removal"] += len(inner.vertices) < len(a.vertices) * len(b.vertices)
+            seen["outer removal"] += len(vrsp(product_ab, c).vertices) < len(inner.vertices) * len(c.vertices)
+            seen["k x l"] += any(n > 1 for n in arc_shapes(intermediate(product_ab, c)).values())
+        assert min(seen.values()) > 90, seen
+
+    def test_the_reach_walk_reads_only_the_factor_index(self, monkeypatch):
+        triples = list(islice(compose_triples(), 20))
+        calls = []
+        real = graph._kahn
+
+        def spy(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(graph, "_kahn", spy)
+        for a, b, c in triples:
+            inner = vrsp(a, b)
+            vrsp(inner, c)
+            # A fresh product used as a factor gets no adjacency and no Kahn order.
+            assert "_adjacency" not in inner.__dict__
+        assert calls == []
 
 
 def separator_factor(rng: random.Random) -> Graph:
