@@ -26,6 +26,8 @@ import heapq
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, partial, total_ordering
+from itertools import islice
+from operator import eq
 from typing import Container, Iterable, NamedTuple
 
 from .errors import InvalidGraphError, UnknownVertexError
@@ -304,14 +306,21 @@ def validate(g: Graph) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     vset = g.vertex_set
 
+    # Both are sorted by id, so a repeated id sits next to itself.  operator.eq,
+    # not str.__eq__: a graph never checked may hold ids of any type.
     for kind, ids in (("vertex", g.vertices), ("arc", [a.id for a in g.arcs])):
-        for dup, n in sorted(Counter(ids).items()):
-            if n > 1:
-                diags.append(Diagnostic(f"duplicate-{kind}-id", f"{kind} id {dup!r} occurs {n} times", (dup,)))
+        if any(map(eq, ids, islice(ids, 1, None))):
+            for dup, n in sorted(Counter(ids).items()):
+                if n > 1:
+                    diags.append(Diagnostic(f"duplicate-{kind}-id", f"{kind} id {dup!r} occurs {n} times", (dup,)))
 
     sound_arcs: list[Arc] = []
     for a in g.arcs:
-        dangling = [e for e in (a.tail, a.head) if e not in vset]
+        _, tail, head, _ = a
+        if tail in vset and head in vset and tail != head:
+            sound_arcs.append(a)
+            continue
+        dangling = [e for e in (tail, head) if e not in vset]
         if dangling:
             ends = ", ".join(repr(e) for e in dangling)
             diags.append(Diagnostic("dangling-arc", f"arc {a.id!r} references missing vertex {ends}", (a.id,)))

@@ -19,6 +19,12 @@ indent, trailing newline, so emitting a parsed document reproduces it byte
 for byte.  The text is written directly, not through ``json.dumps``, and
 equals ``json.dumps(document, indent=2, ensure_ascii=False) + "\n"``.
 
+A parsed graph holds one copy of its data.  Each arc's tail and head is the
+vertex's own id string, not the copy that JSON decoding made; an end that
+names no vertex is kept as written, for validation to report.
+:func:`parse_graph` lets its decoded document go as the graph is built, so
+the document and the graph are not both held in full.
+
 Family files list one vertex set per line, either as a JSON array of ids or
 comma-separated; blank lines and lines starting with '#' are ignored.
 """
@@ -31,7 +37,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import GraphError, GraphFormatError
 from .graph import Arc, Graph, LabelPair
@@ -108,7 +114,18 @@ def document_to_graph(doc: object, *, check: bool = True) -> Graph:
     Schema violations raise ``GraphFormatError`` naming the offending field.
     With ``check=True`` (the default) graph invariants are enforced as well;
     ``check=False`` returns the raw value so callers can run
-    :func:`vrsp.graph.validate` themselves and report diagnostics.
+    :func:`vrsp.graph.validate` themselves and report diagnostics.  The
+    document is left as it was given.
+    """
+    g = _unchecked_graph(doc, iter)
+    return g.check() if check else g
+
+
+def _unchecked_graph(doc: object, entries: Callable[[list], Iterator]) -> Graph:
+    """The graph that ``doc`` spells, unchecked, taking the arcs' entries from ``entries(doc["arcs"])``.
+
+    Each arc's tail and head is the vertex's own id string where it names a
+    vertex; a dangling end is kept as written, for ``validate`` to report.
     """
     if not isinstance(doc, dict):
         raise GraphFormatError("graph document must be a JSON object")
@@ -120,7 +137,8 @@ def document_to_graph(doc: object, *, check: bool = True) -> Graph:
     for v in vertices:
         if not isinstance(v, str):
             raise _wrong_type("vertex id", str, v)
-    if len(set(vertices)) != len(vertices):
+    vs = dict(zip(vertices, vertices))
+    if len(vs) != len(vertices):
         repeated = sorted(v for v, n in Counter(vertices).items() if n > 1)
         raise GraphFormatError(f"repeated vertex ids: {', '.join(repr(v) for v in repeated)}")
     raw_arcs = _expect(doc.get("arcs"), list, "'arcs'")
@@ -132,7 +150,8 @@ def document_to_graph(doc: object, *, check: bool = True) -> Graph:
     # rejected.
     labels: dict[object, LabelPair] = {}
     arcs = []
-    for i, entry in enumerate(raw_arcs):
+    end = vs.get
+    for i, entry in enumerate(entries(raw_arcs)):
         if not isinstance(entry, dict):
             raise GraphFormatError(f"arc #{i + 1} must be a JSON object")
         if entry.keys() != _ARC_FIELDS:
@@ -158,12 +177,18 @@ def document_to_graph(doc: object, *, check: bool = True) -> Graph:
             raise _wrong_type(f"arc {arc_id!r} 'tail'", str, tail)
         if not isinstance(head, str):
             raise _wrong_type(f"arc {arc_id!r} 'head'", str, head)
-        arcs.append(Arc(arc_id, tail, head, label))
+        arcs.append(Arc(arc_id, end(tail, tail), end(head, head), label))
 
     # Tails and heads need no check here: each is a vertex id or dangling.
     _require_utf8(chain((name,), vertices, (a.id for a in arcs), (label.action for label in labels.values())))
-    g = Graph(tuple(vertices), tuple(arcs), name)
-    return g.check() if check else g
+    return Graph(tuple(vertices), tuple(arcs), name)
+
+
+def _drain(entries: list) -> Iterator:
+    """Yield the items of ``entries`` in order, each taken out of the list as it is yielded."""
+    entries.reverse()
+    while entries:
+        yield entries.pop()
 
 
 def _require_utf8(strings: Iterable[str]) -> None:
@@ -185,17 +210,29 @@ def _decode(text: str | bytes) -> str:
     return text
 
 
-def parse_graph(text: str | bytes, *, check: bool = True) -> Graph:
-    """Parse UTF-8 JSON text into a validated graph."""
+def _loads(text: str | bytes) -> object:
+    """The JSON value of ``text``, with decoding errors raised as ``GraphFormatError``."""
     try:
-        doc = json.loads(_decode(text))
+        return json.loads(_decode(text))
     except json.JSONDecodeError as e:
         raise GraphFormatError(f"malformed JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
     except ValueError as e:  # an integer with more digits than Python converts
         raise GraphFormatError(f"JSON number too long: {e}") from None
     except RecursionError:
         raise GraphFormatError("JSON nested too deeply to decode") from None
-    return document_to_graph(doc, check=check)
+
+
+def parse_graph(text: str | bytes, *, check: bool = True) -> Graph:
+    """Parse UTF-8 JSON text into a graph, validated unless ``check=False``, as :func:`document_to_graph` does.
+
+    The decoded document is this function's own, so it is let go as the
+    graph is built: each arc's JSON object as soon as its ``Arc`` is made,
+    and the rest before the graph is checked.  Arc ends share the vertex
+    id strings, so the graph holds one copy of each id.
+    """
+    # Not bound to a name here, so the document goes when _unchecked_graph returns.
+    g = _unchecked_graph(_loads(text), _drain)
+    return g.check() if check else g
 
 
 def emit_graph(g: Graph) -> str:

@@ -23,6 +23,7 @@ from vrsp.decomposition import find_decompositions
 from vrsp.errors import InvalidGraphError, UnknownVertexError
 from vrsp.graph import (
     Arc,
+    Diagnostic,
     Graph,
     LabelPair,
     build_graph,
@@ -209,7 +210,56 @@ class TestArc:
         assert repeated > 20
 
 
+def validate_oracle(g: Graph) -> list[Diagnostic]:
+    """What ``validate`` reports on a graph whose sound arcs are acyclic, with repeats counted by ``Counter``."""
+    diags = []
+    for kind, ids in (("vertex", g.vertices), ("arc", [a.id for a in g.arcs])):
+        for dup, n in sorted(Counter(ids).items()):
+            if n > 1:
+                diags.append(Diagnostic(f"duplicate-{kind}-id", f"{kind} id {dup!r} occurs {n} times", (dup,)))
+    vertices = set(g.vertices)
+    for a in g.arcs:
+        dangling = [e for e in (a.tail, a.head) if e not in vertices]
+        if dangling:
+            ends = ", ".join(map(repr, dangling))
+            diags.append(Diagnostic("dangling-arc", f"arc {a.id!r} references missing vertex {ends}", (a.id,)))
+        elif a.tail == a.head:
+            diags.append(Diagnostic("self-loop", f"arc {a.id!r} is a self-loop on {a.tail!r}", (a.id,)))
+    return diags
+
+
+def tangled_graph(rng: random.Random, name) -> Graph:
+    """An unchecked graph with repeated vertex and arc ids, dangling arcs and self-loops, named by ``name(k)``.
+
+    An arc that is neither dangling nor a loop points from a lower to a
+    higher vertex index, so the sound arcs are acyclic.  A repeated arc id
+    may come with other ends.
+    """
+    n = rng.randint(1, 7)
+    vertices = [name(i) for i in range(n)]
+    vertices += rng.choices(vertices, k=rng.choice((0, 0, 1, 3)))
+    arcs = []
+    for k in range(rng.randint(0, 10)):
+        arc_id = rng.choice(arcs).id if arcs and rng.random() < 0.3 else name(100 + k)
+        i, j = sorted(rng.sample(range(n), 2)) if n > 1 else (0, 0)
+        tail, head = rng.choice([(name(i), name(j))] * 4 + [(name(i), name(i)), (name(50), name(j)), (name(i), name(51))])
+        arcs.append(Arc(arc_id, tail, head, L(rng.choice("ab"))))
+    return Graph(tuple(vertices), tuple(arcs))
+
+
 class TestValidate:
+    @pytest.mark.parametrize("name", [lambda k: f"v{k}", lambda k: k], ids=["str", "int"])
+    def test_repeated_ids_match_the_counter_oracle(self, name):
+        rng = random.Random(131)
+        codes = Counter()
+        for _ in range(600):
+            g = tangled_graph(rng, name)
+            diags = validate(g)
+            assert diags == validate_oracle(g)
+            codes.update(d.code for d in diags)
+        assert min(codes[c] for c in ("duplicate-vertex-id", "duplicate-arc-id", "dangling-arc", "self-loop")) > 50
+        assert "cycle" not in codes
+
     def test_single_vertex_no_arcs_is_valid(self):
         assert validate(Graph(("u",), ())) == []
 

@@ -7,9 +7,9 @@ import json
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from vrsp.cli import main
-from vrsp.errors import GraphError
+from vrsp.errors import GraphError, GraphFormatError
 from vrsp.graph import Graph
-from vrsp.serialization import parse_graph
+from vrsp.serialization import document_to_graph, parse_graph
 
 # 5000 digits: more than Python converts to an integer by default.
 _LONG_INTEGER = "1" * 5000
@@ -86,6 +86,26 @@ def test_parse_graph_returns_a_graph_or_raises_a_graph_error(text):
         except GraphError:
             continue
         assert isinstance(g, Graph)
+
+
+def _outcome(parse, *args, **kwargs) -> Graph | tuple[type, str]:
+    """What ``parse`` gives: a graph, or the type and text of the ``GraphError`` it raises."""
+    try:
+        return parse(*args, **kwargs)
+    except GraphError as e:
+        return type(e), str(e)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_documents)
+def test_parse_graph_agrees_with_document_to_graph(text):
+    try:
+        doc = json.loads(text)
+    except ValueError:  # an integer with more digits than Python converts
+        assert _outcome(parse_graph, text)[0] is GraphFormatError
+        return
+    for check in (True, False):
+        assert _outcome(parse_graph, text, check=check) == _outcome(document_to_graph, doc, check=check)
 
 
 @settings(

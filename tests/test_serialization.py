@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 import re
@@ -178,6 +179,41 @@ class TestEmitLargeProduct:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * len(text)
+
+
+class TestParseLargeProduct:
+    def test_peak_memory_is_at_most_three_and_three_quarter_texts(self):
+        # The decoded document alone takes about three texts.  Each arc's
+        # JSON object goes as its Arc is made, so the peak is the document
+        # and little more.  The ends share the vertex strings, so the graph
+        # kept, with the adjacency its check builds, is under 2.25 texts.
+        text = emit_graph(large_product(223, ("u", "x")))
+        assert text.isascii()
+        tracemalloc.start()
+        try:
+            g = parse_graph(text)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(g.vertices) == 2304
+        assert peak <= 3.75 * len(text)
+        assert kept <= 2.25 * len(text)
+
+    @pytest.mark.parametrize(
+        "parse", [parse_graph, lambda text: document_to_graph(json.loads(text))], ids=["text", "document"]
+    )
+    def test_arc_ends_are_the_vertex_strings(self, parse):
+        for text in (emit_graph(large_product(227, ("u", "x"))), fixture_path("fig1.json").read_text()):
+            g = parse(text)
+            own = {v: v for v in g.vertices}
+            assert all(own[a.tail] is a.tail and own[a.head] is a.head for a in g.arcs)
+
+    def test_the_document_is_left_as_given(self):
+        doc = json.loads(emit_graph(large_product(229, ("u", "x"))))
+        before = copy.deepcopy(doc)
+        for check in (True, False):
+            assert graph_to_document(document_to_graph(doc, check=check)) == before
+            assert doc == before
 
 
 class TestDeepNesting:
@@ -374,11 +410,25 @@ class TestSchemaErrorTexts:
     @pytest.mark.parametrize("doc, message", SCHEMA_ERRORS.values(), ids=SCHEMA_ERRORS.keys())
     @pytest.mark.parametrize("check", [True, False])
     def test_full_text(self, doc, message, check):
+        before = copy.deepcopy(doc)
         with pytest.raises(GraphFormatError) as document_error:
             document_to_graph(doc, check=check)
+        assert doc == before
         with pytest.raises(GraphFormatError) as text_error:
             parse_graph(json.dumps(doc), check=check)
         assert str(document_error.value) == str(text_error.value) == message
+
+
+class TestDanglingEnds:
+    @pytest.mark.parametrize("end", ["ghost", "u ", "U", "v\u0301", 'é\\"', "\u2028", ""])
+    def test_reported_as_written(self, tmp_path, capsys, end):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(_doc(_arc(head=end), _arc(id="e2", tail=end, head=end))))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"dangling-arc: arc 'e1' references missing vertex {end!r}",
+            f"dangling-arc: arc 'e2' references missing vertex {end!r}, {end!r}",
+        ]
 
 
 class TestLabelInterning:
