@@ -207,7 +207,9 @@ def _verify(g: Graph, row_of: dict[str, int], col_of: dict[str, int]) -> Decompo
     quotients name them: the search passes a label split's component
     indices, :func:`verify_decomposition` each family's ``quotient._index``.
     A vertex in no set has coordinate None, which C1-C3 see as uncovered.
-    ``g`` has passed :func:`_check_graph`.
+    ``g`` has passed ``check``.  It is weakly connected whenever the report
+    is accepted: :func:`verify_decomposition` checks that first, and in the
+    search an accepted split proves it (see :func:`_accepted`).
 
     One pass over the arcs puts every arc into the row layer and the col
     layer that hold both its ends, and lists in id order the arcs that cross
@@ -379,7 +381,7 @@ def _verify(g: Graph, row_of: dict[str, int], col_of: dict[str, int]) -> Decompo
         # Without a search, the witnesses have already proved FINAL (see above).
         if not searched or _is_product(g, q_rows, q_cols, images):
             conditions["FINAL"] = ConditionResult(True)
-            # _check_graph has passed g, so its quotients are weakly connected.
+            # g is weakly connected (see the docstring), so its quotients are too.
             factors = (_connected_by_construction(q_rows), _connected_by_construction(q_cols))
         else:
             conditions["FINAL"] = ConditionResult(
@@ -558,13 +560,28 @@ def find_decompositions(g: Graph, max_labels: int | None = None) -> list[Decompo
 
 def _accepted(g: Graph, max_labels: int | None) -> Iterator[Decomposition]:
     """The accepted bipartitions of :func:`find_decompositions`, in its order,
-    each verified only when it is asked for."""
-    _check_graph(g)
-    budget = _resolve_label_budget(max_labels)
+    each verified only when it is asked for.
+
+    ``g`` is checked first.  It is searched for its weak components only
+    when the answer is needed: before the label budget refuses it, after
+    the first candidate if that is rejected, or at the end if there is no
+    candidate.  An accepted split proves g weakly connected without that
+    search.  Its rows and cols are weak components, so every layer is
+    connected.  C6 maps each quotient onto one of those layers, so both
+    quotients are connected.  C7 makes their VRSP their Cartesian product,
+    which is then connected, and FINAL maps g onto that product.  So a
+    disconnected g is refused with ``NotConnectedError`` after at most one
+    ``_verify``, and before ``LabelBudgetError``.
+    """
+    g.check()
     labels = label_set(g)
-    count = len(labels)
-    if count > budget:
-        raise LabelBudgetError(f"graph has {count} labels, budget is {budget}")
+    try:
+        budget = _resolve_label_budget(max_labels)
+        if len(labels) > budget:
+            raise LabelBudgetError(f"graph has {len(labels)} labels, budget is {budget}")
+    except GraphError:
+        _check_graph(g)
+        raise
 
     classes = label_classes(g)
     pivot, rest = classes[:1], classes[1:]
@@ -574,13 +591,17 @@ def _accepted(g: Graph, max_labels: int | None) -> Iterator[Decomposition]:
         candidates.append(tuple(sorted(l for c in chosen for l in c)))
     candidates.sort()
 
-    for left in candidates:
+    for k, left in enumerate(candidates):
         # Rows are the components off the left labels, cols those off the others.
         left_set = set(left)
         report = _verify(g, _components(g, left_set), _components(g, labels - left_set))
         if report.accepted:
             assert report.factors is not None
             yield Decomposition(left, report.factors, report)
+        elif k == 0:
+            _check_graph(g)
+    if not candidates:
+        _check_graph(g)
 
 
 def prime_factors(g: Graph, max_labels: int | None = None) -> list[Graph]:

@@ -224,15 +224,22 @@ class Graph(_Record):
 
     @cached_property
     def _adjacency(self) -> tuple[dict[str, tuple[Arc, ...]], dict[str, tuple[Arc, ...]]]:
-        """Out-arcs and in-arcs per vertex, both from one pass over the arcs."""
-        out: dict[str, list[Arc]] = {v: [] for v in self.vertices}
-        inc: dict[str, list[Arc]] = {v: [] for v in self.vertices}
+        """Out-arcs and in-arcs per vertex, both from one pass over the arcs.
+
+        Each list becomes its tuple in place, so the lists and the tuples are
+        never all held at once.
+        """
+        out: dict[str, list[Arc] | tuple[Arc, ...]] = {v: [] for v in self.vertices}
+        inc: dict[str, list[Arc] | tuple[Arc, ...]] = {v: [] for v in self.vertices}
         for a in self.arcs:
             if a.tail in out:
                 out[a.tail].append(a)
             if a.head in inc:
                 inc[a.head].append(a)
-        return {v: tuple(arcs) for v, arcs in out.items()}, {v: tuple(arcs) for v, arcs in inc.items()}
+        for table in (out, inc):
+            for v, arcs in table.items():
+                table[v] = tuple(arcs)
+        return out, inc
 
     def out_arcs(self, v: str) -> tuple[Arc, ...]:
         self._require(v)

@@ -22,8 +22,9 @@ equals ``json.dumps(document, indent=2, ensure_ascii=False) + "\n"``.
 A parsed graph holds one copy of its data.  Each arc's tail and head is the
 vertex's own id string, not the copy that JSON decoding made; an end that
 names no vertex is kept as written, for validation to report.
-:func:`parse_graph` lets its decoded document go as the graph is built, so
-the document and the graph are not both held in full.
+:func:`parse_graph` makes each arc as its JSON object is decoded, so the
+whole decoded document is never held.  A well-formed arc is defined once,
+in :func:`_arc_reader`, which both readings of a document share.
 
 Family files list one vertex set per line, either as a JSON array of ids or
 comma-separated; blank lines and lines starting with '#' are ignored.
@@ -37,10 +38,10 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .errors import GraphError, GraphFormatError
-from .graph import Arc, Graph, LabelPair
+from .graph import Arc, Graph, LabelPair, _arc
 from .quotient import VertexFamily
 
 __all__ = [
@@ -77,6 +78,7 @@ def weight_token(w: Fraction) -> str:
     return str(w)
 
 
+_GRAPH_FIELDS = frozenset({"name", "vertices", "arcs"})
 _ARC_FIELDS = frozenset({"id", "tail", "head", "action", "weight"})
 
 
@@ -117,19 +119,80 @@ def document_to_graph(doc: object, *, check: bool = True) -> Graph:
     :func:`vrsp.graph.validate` themselves and report diagnostics.  The
     document is left as it was given.
     """
-    g = _unchecked_graph(doc, iter)
+    g = _unchecked_graph(doc)
     return g.check() if check else g
 
 
-def _unchecked_graph(doc: object, entries: Callable[[list], Iterator]) -> Graph:
-    """The graph that ``doc`` spells, unchecked, taking the arcs' entries from ``entries(doc["arcs"])``.
+def _arc_reader(labels: dict[object, LabelPair], end: Callable[[str, str], str]) -> Callable[[object], object]:
+    """What a well-formed arc is, stated once: a function from a JSON value to its ``Arc``, or to itself if it is none.
+
+    A well-formed arc is an object with exactly the five arc fields, whose
+    id, tail, head and action are strings, the action non-empty, and whose
+    weight is a token :func:`parse_weight` accepts.  Its tail and head are
+    ``end(tail, tail)`` and ``end(head, head)``.  ``labels`` caches one
+    label per distinct (action, token), so that each weight token is parsed
+    once; the key carries the token's type because True == 1, and a token
+    of any type but str and int is no weight and gets no key.
+    """
+
+    def read(entry: object) -> object:
+        if not isinstance(entry, dict) or entry.keys() != _ARC_FIELDS:
+            return entry
+        arc_id, tail, head, action, token = entry["id"], entry["tail"], entry["head"], entry["action"], entry["weight"]
+        if not (
+            isinstance(arc_id, str) and isinstance(tail, str) and isinstance(head, str) and isinstance(action, str)
+        ):
+            return entry
+        key = (action, type(token), token) if isinstance(token, (str, int)) else None
+        label = labels.get(key)
+        if label is None:  # a cached label's action is known to be non-empty
+            if not action:
+                return entry
+            try:
+                label = labels[key] = LabelPair(action, parse_weight(token))
+            except GraphFormatError:
+                return entry
+        return _arc((arc_id, end(tail, tail), end(head, head), label))
+
+    return read
+
+
+def _arc_error(i: int, entry: object) -> GraphFormatError:
+    """The error for arcs entry ``i``, which :func:`_arc_reader` refused: its first bad field, in a fixed order."""
+    if not isinstance(entry, dict):
+        return GraphFormatError(f"arc #{i + 1} must be a JSON object")
+    extra = entry.keys() - _ARC_FIELDS
+    if extra:
+        return GraphFormatError(f"arc #{i + 1}: unknown fields {sorted(extra)!r}")
+    missing = _ARC_FIELDS - entry.keys()
+    if missing:
+        return GraphFormatError(f"arc #{i + 1}: missing fields {sorted(missing)!r}")
+    arc_id, tail, head, action, token = entry["id"], entry["tail"], entry["head"], entry["action"], entry["weight"]
+    if not isinstance(arc_id, str):
+        return _wrong_type(f"arc #{i + 1} 'id'", str, arc_id)
+    if not isinstance(action, str):
+        return _wrong_type(f"arc {arc_id!r} 'action'", str, action)
+    if not action:
+        return GraphFormatError(f"arc {arc_id!r}: 'action' must be non-empty")
+    try:
+        parse_weight(token)
+    except GraphFormatError as e:
+        return GraphFormatError(f"arc {arc_id!r}: {e}")
+    if not isinstance(tail, str):
+        return _wrong_type(f"arc {arc_id!r} 'tail'", str, tail)
+    # The reader refused the arc, and every other field is well formed.
+    return _wrong_type(f"arc {arc_id!r} 'head'", str, head)
+
+
+def _unchecked_graph(doc: object) -> Graph:
+    """The graph that ``doc`` spells, unchecked; raises the ``GraphFormatError`` for its first fault.
 
     Each arc's tail and head is the vertex's own id string where it names a
     vertex; a dangling end is kept as written, for ``validate`` to report.
     """
     if not isinstance(doc, dict):
         raise GraphFormatError("graph document must be a JSON object")
-    extra = set(doc) - {"name", "vertices", "arcs"}
+    extra = set(doc) - _GRAPH_FIELDS
     if extra:
         raise GraphFormatError(f"unknown graph fields: {sorted(extra)!r}")
     name = _expect(doc.get("name", ""), str, "'name'")
@@ -143,52 +206,23 @@ def _unchecked_graph(doc: object, entries: Callable[[list], Iterator]) -> Graph:
         raise GraphFormatError(f"repeated vertex ids: {', '.join(repr(v) for v in repeated)}")
     raw_arcs = _expect(doc.get("arcs"), list, "'arcs'")
 
-    # One pass over the arcs, checking each field in turn; error text is
-    # formatted only when it is raised.  One label per distinct (action,
-    # token), so that each weight token is parsed once.  The key carries the
-    # token's type because True == 1; unhashable tokens get no key and are
-    # rejected.
+    # One pass over the arcs; an error's text is made only for an arc the reader refuses.
     labels: dict[object, LabelPair] = {}
+    read = _arc_reader(labels, vs.get)
     arcs = []
-    end = vs.get
-    for i, entry in enumerate(entries(raw_arcs)):
-        if not isinstance(entry, dict):
-            raise GraphFormatError(f"arc #{i + 1} must be a JSON object")
-        if entry.keys() != _ARC_FIELDS:
-            extra = entry.keys() - _ARC_FIELDS
-            if extra:
-                raise GraphFormatError(f"arc #{i + 1}: unknown fields {sorted(extra)!r}")
-            raise GraphFormatError(f"arc #{i + 1}: missing fields {sorted(_ARC_FIELDS - entry.keys())!r}")
-        arc_id, tail, head, action, token = entry["id"], entry["tail"], entry["head"], entry["action"], entry["weight"]
-        if not isinstance(arc_id, str):
-            raise _wrong_type(f"arc #{i + 1} 'id'", str, arc_id)
-        if not isinstance(action, str):
-            raise _wrong_type(f"arc {arc_id!r} 'action'", str, action)
-        if not action:
-            raise GraphFormatError(f"arc {arc_id!r}: 'action' must be non-empty")
-        key = (action, type(token), token) if isinstance(token, (str, int)) else None
-        label = labels.get(key)
-        if label is None:
-            try:
-                label = labels[key] = LabelPair(action, parse_weight(token))
-            except GraphFormatError as e:
-                raise GraphFormatError(f"arc {arc_id!r}: {e}") from None
-        if not isinstance(tail, str):
-            raise _wrong_type(f"arc {arc_id!r} 'tail'", str, tail)
-        if not isinstance(head, str):
-            raise _wrong_type(f"arc {arc_id!r} 'head'", str, head)
-        arcs.append(Arc(arc_id, end(tail, tail), end(head, head), label))
+    for i, entry in enumerate(raw_arcs):
+        arc = read(entry)
+        if arc is entry:
+            raise _arc_error(i, entry)
+        arcs.append(arc)
+    return _graph(name, vertices, arcs, labels.values())
 
+
+def _graph(name: str, vertices: list[str], arcs: list[Arc], labels: Iterable[LabelPair]) -> Graph:
+    """The unchecked graph of these fields, once its name, ids and the actions of ``labels`` encode as UTF-8."""
     # Tails and heads need no check here: each is a vertex id or dangling.
-    _require_utf8(chain((name,), vertices, (a.id for a in arcs), (label.action for label in labels.values())))
+    _require_utf8(chain((name,), vertices, (a.id for a in arcs), (label.action for label in labels)))
     return Graph(tuple(vertices), tuple(arcs), name)
-
-
-def _drain(entries: list) -> Iterator:
-    """Yield the items of ``entries`` in order, each taken out of the list as it is yielded."""
-    entries.reverse()
-    while entries:
-        yield entries.pop()
 
 
 def _require_utf8(strings: Iterable[str]) -> None:
@@ -225,14 +259,64 @@ def _loads(text: str | bytes) -> object:
 def parse_graph(text: str | bytes, *, check: bool = True) -> Graph:
     """Parse UTF-8 JSON text into a graph, validated unless ``check=False``, as :func:`document_to_graph` does.
 
-    The decoded document is this function's own, so it is let go as the
-    graph is built: each arc's JSON object as soon as its ``Arc`` is made,
-    and the rest before the graph is checked.  Arc ends share the vertex
-    id strings, so the graph holds one copy of each id.
+    Each well-formed arc object becomes its ``Arc`` while the text is still
+    being decoded.  So the whole document is never held: an arc's JSON
+    object, its action and weight strings, and each tail or head string
+    that spells an end already seen go as soon as the arc is made.  Arc
+    ends share the vertex id strings, so the graph holds one copy of each
+    id.  Any other input is decoded again, plainly, and read as
+    :func:`document_to_graph` reads it, so every error is raised with the
+    same text and in the same order.
     """
-    # Not bound to a name here, so the document goes when _unchecked_graph returns.
-    g = _unchecked_graph(_loads(text), _drain)
+    g = _decoded_graph(_decode(text))
     return g.check() if check else g
+
+
+def _decoded_graph(text: str) -> Graph:
+    """The unchecked graph that ``text`` spells, its arcs made by :func:`_arc_reader` as the decoder meets them.
+
+    The reader is the decoder's ``object_hook``, so it sees every object,
+    innermost first, and turns each well-formed arc into an ``Arc``.  Every
+    tail and head goes through one dict of ends, which the vertex ids are
+    then mapped through, so each id is one string object.  Unless
+    :func:`_arcs_graph` finds the result well formed, the text is decoded
+    again, plainly, for :func:`_unchecked_graph` to raise its error.
+    """
+    labels: dict[object, LabelPair] = {}
+    ends: dict[str, str] = {}
+    try:
+        g = _arcs_graph(json.loads(text, object_hook=_arc_reader(labels, ends.setdefault)), labels, ends)
+    except (ValueError, RecursionError):
+        g = None
+    return g if g is not None else _unchecked_graph(_loads(text))
+
+
+def _arcs_graph(doc: object, labels: dict[object, LabelPair], ends: dict[str, str]) -> Graph | None:
+    """The graph of a decoded document whose well-formed arcs are already ``Arc``s, or None if it is not well formed.
+
+    Well formed is: an object of the three graph fields, its name a string,
+    its vertices distinct strings, and each of its arcs entries an ``Arc``
+    (a JSON value is never a tuple).  Then every object but the document
+    itself became one of those arcs, and ``labels`` lists their labels in
+    the order of the arcs, so :func:`_unchecked_graph` of the plain decoding
+    gives an equal graph, or the same error for a lone surrogate.
+    """
+    if not (isinstance(doc, dict) and doc.keys() <= _GRAPH_FIELDS):
+        return None
+    # Taken out, so that the vertices' decoded strings go as the ids are mapped.
+    name, vertices, arcs = doc.pop("name", ""), doc.pop("vertices", None), doc.pop("arcs", None)
+    if not (
+        isinstance(name, str)
+        and isinstance(vertices, list)
+        and isinstance(arcs, list)
+        and set(map(type, vertices)) <= {str}
+        and set(map(type, arcs)) <= {Arc}
+    ):
+        return None
+    vertices = list(map(ends.get, vertices, vertices))
+    if len(set(vertices)) != len(vertices):
+        return None
+    return _graph(name, vertices, arcs, labels.values())
 
 
 def emit_graph(g: Graph) -> str:

@@ -281,11 +281,12 @@ class TestDecompose:
         assert out == json.dumps(expected, indent=2) + "\n"
         assert sum(graph == fig1 for graph in searched) == 1
 
-    def test_recursive_searches_the_components_of_the_input_only(self, capsys, fig1, component_searches):
-        # The factors are quotients of a connected graph, recorded as connected where they are made.
+    def test_recursive_searches_no_components(self, capsys, component_searches):
+        # The input's accepted split proves it connected, and the factors are
+        # quotients of a connected graph, recorded as connected where they are made.
         code, out, _ = run(capsys, "decompose", fx("fig1.json"), "--recursive")
         assert code == 0 and len(json.loads(out)["prime_factors"]) == 2
-        assert component_searches == [fig1]
+        assert component_searches == []
 
     def test_validates_the_input_once(self, capsys, monkeypatch, fig1):
         checked = []

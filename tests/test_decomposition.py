@@ -21,7 +21,14 @@ from vrsp.decomposition import (
     prime_factors,
     verify_decomposition,
 )
-from vrsp.errors import CycleCreatedError, DegenerateSplitError, GraphError, LabelBudgetError, NotConnectedError
+from vrsp.errors import (
+    CycleCreatedError,
+    DegenerateSplitError,
+    GraphError,
+    InvalidGraphError,
+    LabelBudgetError,
+    NotConnectedError,
+)
 from vrsp.fixtures import load_family
 from vrsp.graph import (
     Arc,
@@ -669,14 +676,104 @@ class TestSearchState:
             seen["refused"] += isinstance(found, str)
         assert seen["decomposed"] and seen["refused"], seen
 
-    def test_each_search_checks_connectivity_and_only_factors_are_recorded(self, component_searches, fig1):
+    def test_accepting_search_skips_connectivity_records_factors(self, component_searches, fig1):
+        # The accepted split proves g connected, and that proof is not kept on g.
         g = Graph(fig1.vertices, fig1.arcs, fig1.name)
         (first,) = find_decompositions(g)
         assert find_decompositions(g) == [first]
-        assert component_searches == [g, g]
+        assert component_searches == []
         assert "_connected" not in g.__dict__
         assert all("_connected" in f.__dict__ and is_weakly_connected(f) for f in first.factors)
-        assert component_searches == [g, g]
+        assert component_searches == []
+        assert is_weakly_connected(g) and component_searches == [g]
+
+
+def disconnected_graphs() -> Iterator[Graph]:
+    """Seeded valid graphs with more than one weak component, some of them with an accepted split per component."""
+    rng = random.Random(227)
+    yield build_graph(["u", "v"], [])
+    for _ in range(20):
+        g = random_dag(rng, 8, 6, "pqrs", min_vertices=2)
+        if not is_weakly_connected(g):
+            yield g
+        p = cartesian(random_factor(rng, "pq", prefix="l"), random_factor(rng, "rs", prefix="r"))
+        q = rename_graph(rng, p)
+        yield build_graph(p.vertices + q.vertices, p.arcs + q.arcs)
+        yield build_graph(p.vertices + ("lone",), p.arcs)
+
+
+class TestConnectivityCheck:
+    def test_only_a_rejected_or_absent_first_candidate_searches_components(self, monkeypatch, component_searches):
+        reports = []
+
+        def recording(g, rows, cols):
+            reports.append(verify(g, rows, cols))
+            return reports[-1]
+
+        verify = decomposition._verify
+        monkeypatch.setattr(decomposition, "_verify", recording)
+        seen = Counter()
+        for g in label_class_graphs():
+            if not is_weakly_connected(g):
+                continue
+            component_searches.clear()
+            reports.clear()
+            find_decompositions(g)
+            first_accepted = bool(reports) and reports[0].accepted
+            assert component_searches == ([] if first_accepted else [g])
+            seen[first_accepted, bool(reports)] += 1
+        assert len(seen) == 3, seen
+
+    @pytest.mark.parametrize("search", [find_decompositions, prime_factors])
+    def test_a_disconnected_graph_is_refused_after_at_most_one_verify(self, monkeypatch, search):
+        verified = []
+
+        def counting(g, rows, cols):
+            verified.append(g)
+            return verify(g, rows, cols)
+
+        verify = decomposition._verify
+        monkeypatch.setattr(decomposition, "_verify", counting)
+        graphs = list(disconnected_graphs())
+        assert len(graphs) > 40
+        for g in graphs:
+            verified.clear()
+            with pytest.raises(NotConnectedError, match="^decomposition needs a non-empty weakly connected graph$"):
+                search(g)
+            assert len(verified) <= 1
+
+    def test_a_disconnected_graph_is_refused_whatever_the_verifier_rejects(self, monkeypatch):
+        verified = []
+
+        def rejecting(g, rows, cols):
+            verified.append(g)
+            failed = {code: decomposition.ConditionResult(False) for code in decomposition.CONDITION_CODES}
+            return decomposition.DecompositionReport(failed, (0, 0))
+
+        monkeypatch.setattr(decomposition, "_verify", rejecting)
+        p = cartesian(path_graph(["a"], "l"), path_graph(["b"], "r"))
+        g = build_graph(p.vertices + ("lone",), p.arcs)
+        with pytest.raises(NotConnectedError):
+            find_decompositions(g)
+        assert verified == [g]
+
+    def test_an_invalid_graph_is_refused_first(self):
+        g = Graph(("u", "v", "w"), (Arc("e1", "u", "v", L("a")), Arc("e2", "v", "u", L("b"))))
+        with pytest.raises(InvalidGraphError):
+            find_decompositions(g, max_labels=1)
+
+    def test_a_disconnected_graph_is_refused_before_the_label_budget(self, monkeypatch):
+        g = build_graph(["u", "v", "w"], [Arc("e1", "u", "v", L("a")), Arc("e2", "u", "v", L("b"))])
+        with pytest.raises(NotConnectedError):
+            find_decompositions(g, max_labels=1)
+        monkeypatch.setenv("VRSP_MAX_LABELS", "x")
+        with pytest.raises(NotConnectedError):
+            find_decompositions(g)
+        connected = build_graph(["u", "v"], g.arcs)
+        with pytest.raises(GraphError, match="VRSP_MAX_LABELS must be an integer"):
+            find_decompositions(connected)
+        with pytest.raises(LabelBudgetError):
+            find_decompositions(connected, max_labels=1)
 
 
 class TestFindDecompositions:
@@ -702,15 +799,24 @@ class TestFindDecompositions:
         assert decomposable >= len(graphs) // 3
 
     def test_validates_the_graph_once(self, fig1, monkeypatch):
-        calls = []
+        # The accepted split proves the graph connected, so no connectivity check runs.
+        g = Graph(fig1.vertices, fig1.arcs, fig1.name)
+        validated, connectivity = [], []
 
-        def counting(g):
-            calls.append(g)
-            return is_weakly_connected(g)
+        def validating(h):
+            validated.append(h)
+            return validate(h)
 
+        def counting(h):
+            connectivity.append(h)
+            return is_weakly_connected(h)
+
+        validate = vrsp_graph.validate
+        monkeypatch.setattr(vrsp_graph, "validate", validating)
         monkeypatch.setattr(decomposition, "is_weakly_connected", counting)
-        assert len(find_decompositions(fig1)) == 1
-        assert len(calls) == 1
+        assert len(find_decompositions(g)) == 1
+        assert validated == [g]
+        assert connectivity == []
 
     def test_fig1_has_exactly_one(self, fig1):
         found = find_decompositions(fig1)
@@ -911,12 +1017,13 @@ class TestPrimeFactors:
         assert len(verified) <= k - 1
         assert primes == expected and len(primes) == k
 
-    def test_the_cube_searches_its_components_once(self, component_searches):
+    def test_the_cube_searches_no_components(self, component_searches):
+        # The cube's first split is accepted, which proves it connected.
         # Every factor is a quotient of a connected graph, so it is recorded
-        # as connected where it is made, and no factor is searched again.
+        # as connected where it is made, and no factor is searched either.
         cube = labelled_cube(3)
         assert len(prime_factors(cube)) == 3
-        assert len(component_searches) == 1 and component_searches[0] is cube
+        assert component_searches == []
 
     @pytest.mark.parametrize("name", ["fig1", "cube"])
     def test_factors_come_out_valid(self, monkeypatch, fig1, name):

@@ -182,11 +182,13 @@ class TestEmitLargeProduct:
 
 
 class TestParseLargeProduct:
+    # The whole decoded document would take about three texts.  Each arc's
+    # JSON object becomes its Arc as it is decoded, so the document is never
+    # held: the unchecked parse peaks under two texts, and the check's
+    # adjacency takes the peak to well under 3.75.  The ends share the vertex
+    # strings, so the graph kept, with that adjacency, is under 2.25 texts.
+
     def test_peak_memory_is_at_most_three_and_three_quarter_texts(self):
-        # The decoded document alone takes about three texts.  Each arc's
-        # JSON object goes as its Arc is made, so the peak is the document
-        # and little more.  The ends share the vertex strings, so the graph
-        # kept, with the adjacency its check builds, is under 2.25 texts.
         text = emit_graph(large_product(223, ("u", "x")))
         assert text.isascii()
         tracemalloc.start()
@@ -198,6 +200,17 @@ class TestParseLargeProduct:
         assert len(g.vertices) == 2304
         assert peak <= 3.75 * len(text)
         assert kept <= 2.25 * len(text)
+
+    def test_unchecked_peak_memory_is_at_most_two_texts(self):
+        text = emit_graph(large_product(223, ("u", "x")))
+        tracemalloc.start()
+        try:
+            g = parse_graph(text, check=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(g.arcs) == 5271
+        assert peak <= 2.0 * len(text)
 
     @pytest.mark.parametrize(
         "parse", [parse_graph, lambda text: document_to_graph(json.loads(text))], ids=["text", "document"]
