@@ -22,6 +22,7 @@ from .isomorphism import find_isomorphism
 from .products import cartesian, intermediate, vrsp
 from .quotient import contract
 from .serialization import (
+    _decode,
     _json_ids,
     emit_dot,
     emit_graph,
@@ -35,9 +36,13 @@ _PRODUCT_KINDS = {"cartesian": cartesian, "intermediate": intermediate, "vrsp": 
 
 
 def _load(path: str, parse: Callable = parse_graph, **options):
-    """Parse the file at ``path`` (a graph unless ``parse`` says otherwise); errors name the path once."""
+    """Parse the file at ``path`` (a graph unless ``parse`` says otherwise); errors name the path once.
+
+    The bytes are decoded before the call, since its argument tuple would
+    hold them until the parse returns.
+    """
     try:
-        return parse(Path(path).read_bytes(), **options)
+        return parse(_decode(Path(path).read_bytes()), **options)
     except OSError as e:
         raise GraphError(f"{path}: cannot read: {e.strerror or e}") from None
     except GraphError as e:

@@ -23,8 +23,12 @@ A parsed graph holds one copy of its data.  Each arc's tail and head is the
 vertex's own id string, not the copy that JSON decoding made; an end that
 names no vertex is kept as written, for validation to report.
 :func:`parse_graph` makes each arc as its JSON object is decoded, so the
-whole decoded document is never held.  A well-formed arc is defined once,
-in :func:`_arc_reader`, which both readings of a document share.
+whole decoded document is never held.  The schema is stated once, in the
+walk :func:`_unchecked_graph`, which both readings share: the hooked one,
+whose well-formed arcs are already made, and the plain decoding that
+:func:`document_to_graph` reads, where the walk makes each arc itself.
+Input the hooked reading refuses is read again the plain way, for its
+error text.  A well-formed arc is defined once, in :func:`_arc_reader`.
 
 Family files list one vertex set per line, either as a JSON array of ids or
 comma-separated; blank lines and lines starting with '#' are ignored.
@@ -117,14 +121,15 @@ def document_to_graph(doc: object, *, check: bool = True) -> Graph:
     With ``check=True`` (the default) graph invariants are enforced as well;
     ``check=False`` returns the raw value so callers can run
     :func:`vrsp.graph.validate` themselves and report diagnostics.  The
-    document is left as it was given.
+    document is left as it was given: the schema walk takes the fields out
+    of a shallow copy.
     """
-    g = _unchecked_graph(doc)
+    g = _unchecked_graph(dict(doc) if isinstance(doc, dict) else doc)
     return g.check() if check else g
 
 
 def _arc_reader(labels: dict[object, LabelPair], end: Callable[[str, str], str]) -> Callable[[object], object]:
-    """What a well-formed arc is, stated once: a function from a JSON value to its ``Arc``, or to itself if it is none.
+    """What a well-formed arc is, stated once: a function from a JSON object to its ``Arc``, or to itself if it is none.
 
     A well-formed arc is an object with exactly the five arc fields, whose
     id, tail, head and action are strings, the action non-empty, and whose
@@ -132,11 +137,14 @@ def _arc_reader(labels: dict[object, LabelPair], end: Callable[[str, str], str])
     ``end(tail, tail)`` and ``end(head, head)``.  ``labels`` caches one
     label per distinct (action, token), so that each weight token is parsed
     once; the key carries the token's type because True == 1, and a token
-    of any type but str and int is no weight and gets no key.
+    of any type but str and int is no weight and gets no key.  A value that
+    is no object (which a decoder's hook never meets) gives None.
     """
 
     def read(entry: object) -> object:
-        if not isinstance(entry, dict) or entry.keys() != _ARC_FIELDS:
+        if not isinstance(entry, dict):
+            return None
+        if entry.keys() != _ARC_FIELDS:
             return entry
         arc_id, tail, head, action, token = entry["id"], entry["tail"], entry["head"], entry["action"], entry["weight"]
         if not (
@@ -184,44 +192,50 @@ def _arc_error(i: int, entry: object) -> GraphFormatError:
     return _wrong_type(f"arc {arc_id!r} 'head'", str, head)
 
 
-def _unchecked_graph(doc: object) -> Graph:
+def _unchecked_graph(doc: object, labels: dict | None = None, ends: dict[str, str] | None = None) -> Graph:
     """The graph that ``doc`` spells, unchecked; raises the ``GraphFormatError`` for its first fault.
 
-    Each arc's tail and head is the vertex's own id string where it names a
-    vertex; a dangling end is kept as written, for ``validate`` to report.
+    The graph schema, stated once: an object of at most the three graph
+    fields, a string name, a list of distinct string vertex ids, a list of
+    well-formed arcs, and no string that UTF-8 cannot encode.  Each arc's
+    tail and head is the vertex's own id string where it names a vertex; a
+    dangling end is kept as written, for ``validate`` to report.
+
+    Given ``ends``, ``doc`` was decoded with ``_arc_reader(labels,
+    ends.setdefault)`` as its hook, so each well-formed arcs entry is its
+    ``Arc`` already, and the vertex ids are mapped through ``ends`` to share
+    the arcs' end strings.  Otherwise each entry is read here, with the
+    vertex ids as the ends, and one that is no JSON object (an ``Arc`` given
+    by a Python caller, say) is refused.  The fields are taken out of
+    ``doc``, so that a decoded list goes as soon as the walk replaces it.
     """
     if not isinstance(doc, dict):
         raise GraphFormatError("graph document must be a JSON object")
-    extra = set(doc) - _GRAPH_FIELDS
+    extra = doc.keys() - _GRAPH_FIELDS
     if extra:
         raise GraphFormatError(f"unknown graph fields: {sorted(extra)!r}")
-    name = _expect(doc.get("name", ""), str, "'name'")
-    vertices = _expect(doc.get("vertices"), list, "'vertices'")
+    name = _expect(doc.pop("name", ""), str, "'name'")
+    vertices = _expect(doc.pop("vertices", None), list, "'vertices'")
     for v in vertices:
         if not isinstance(v, str):
             raise _wrong_type("vertex id", str, v)
-    vs = dict(zip(vertices, vertices))
-    if len(vs) != len(vertices):
+    # Large temporaries are kept few: the hooked ids go straight into the
+    # tuple the Graph keeps, and the dict of ids lives only while the plain
+    # path reads its arcs.
+    if ends is not None:
+        vertices = tuple(map(ends.get, vertices, vertices))
+    if len(set(vertices)) != len(vertices):
         repeated = sorted(v for v, n in Counter(vertices).items() if n > 1)
         raise GraphFormatError(f"repeated vertex ids: {', '.join(repr(v) for v in repeated)}")
-    raw_arcs = _expect(doc.get("arcs"), list, "'arcs'")
-
-    # One pass over the arcs; an error's text is made only for an arc the reader refuses.
-    labels: dict[object, LabelPair] = {}
-    read = _arc_reader(labels, vs.get)
-    arcs = []
-    for i, entry in enumerate(raw_arcs):
-        arc = read(entry)
-        if arc is entry:
-            raise _arc_error(i, entry)
-        arcs.append(arc)
-    return _graph(name, vertices, arcs, labels.values())
-
-
-def _graph(name: str, vertices: list[str], arcs: list[Arc], labels: Iterable[LabelPair]) -> Graph:
-    """The unchecked graph of these fields, once its name, ids and the actions of ``labels`` encode as UTF-8."""
+    arcs = _expect(doc.pop("arcs", None), list, "'arcs'")
+    if ends is None:
+        labels = {}
+        arcs = list(map(_arc_reader(labels, dict(zip(vertices, vertices)).get), arcs))
+    for i, arc in enumerate(arcs):
+        if type(arc) is not Arc:
+            raise _arc_error(i, arc)
     # Tails and heads need no check here: each is a vertex id or dangling.
-    _require_utf8(chain((name,), vertices, (a.id for a in arcs), (label.action for label in labels)))
+    _require_utf8(chain((name,), vertices, (a.id for a in arcs), (label.action for label in labels.values())))
     return Graph(tuple(vertices), tuple(arcs), name)
 
 
@@ -264,9 +278,10 @@ def parse_graph(text: str | bytes, *, check: bool = True) -> Graph:
     object, its action and weight strings, and each tail or head string
     that spells an end already seen go as soon as the arc is made.  Arc
     ends share the vertex id strings, so the graph holds one copy of each
-    id.  Any other input is decoded again, plainly, and read as
-    :func:`document_to_graph` reads it, so every error is raised with the
-    same text and in the same order.
+    id.  The result then goes through the same schema walk as
+    :func:`document_to_graph`'s.  Input that fails either is decoded again,
+    plainly, and read by :func:`document_to_graph`, so every error is
+    raised with the same text and in the same order.
     """
     g = _decoded_graph(_decode(text))
     return g.check() if check else g
@@ -276,47 +291,20 @@ def _decoded_graph(text: str) -> Graph:
     """The unchecked graph that ``text`` spells, its arcs made by :func:`_arc_reader` as the decoder meets them.
 
     The reader is the decoder's ``object_hook``, so it sees every object,
-    innermost first, and turns each well-formed arc into an ``Arc``.  Every
-    tail and head goes through one dict of ends, which the vertex ids are
-    then mapped through, so each id is one string object.  Unless
-    :func:`_arcs_graph` finds the result well formed, the text is decoded
-    again, plainly, for :func:`_unchecked_graph` to raise its error.
+    innermost first, turns each well-formed arc into an ``Arc``, and sends
+    every tail and head through one dict of ends; :func:`_unchecked_graph`
+    then walks the result.  A fault in either sends the text to a plain
+    decoding and :func:`document_to_graph`, so every error keeps its text
+    and its order.  The labels and ends go when this returns, before any
+    check.
     """
     labels: dict[object, LabelPair] = {}
     ends: dict[str, str] = {}
     try:
-        g = _arcs_graph(json.loads(text, object_hook=_arc_reader(labels, ends.setdefault)), labels, ends)
-    except (ValueError, RecursionError):
-        g = None
-    return g if g is not None else _unchecked_graph(_loads(text))
-
-
-def _arcs_graph(doc: object, labels: dict[object, LabelPair], ends: dict[str, str]) -> Graph | None:
-    """The graph of a decoded document whose well-formed arcs are already ``Arc``s, or None if it is not well formed.
-
-    Well formed is: an object of the three graph fields, its name a string,
-    its vertices distinct strings, and each of its arcs entries an ``Arc``
-    (a JSON value is never a tuple).  Then every object but the document
-    itself became one of those arcs, and ``labels`` lists their labels in
-    the order of the arcs, so :func:`_unchecked_graph` of the plain decoding
-    gives an equal graph, or the same error for a lone surrogate.
-    """
-    if not (isinstance(doc, dict) and doc.keys() <= _GRAPH_FIELDS):
-        return None
-    # Taken out, so that the vertices' decoded strings go as the ids are mapped.
-    name, vertices, arcs = doc.pop("name", ""), doc.pop("vertices", None), doc.pop("arcs", None)
-    if not (
-        isinstance(name, str)
-        and isinstance(vertices, list)
-        and isinstance(arcs, list)
-        and set(map(type, vertices)) <= {str}
-        and set(map(type, arcs)) <= {Arc}
-    ):
-        return None
-    vertices = list(map(ends.get, vertices, vertices))
-    if len(set(vertices)) != len(vertices):
-        return None
-    return _graph(name, vertices, arcs, labels.values())
+        return _unchecked_graph(json.loads(text, object_hook=_arc_reader(labels, ends.setdefault)), labels, ends)
+    except (GraphFormatError, ValueError, RecursionError):
+        pass  # out of the handler, so that the traceback's frames go before the second decoding
+    return document_to_graph(_loads(text), check=False)
 
 
 def emit_graph(g: Graph) -> str:

@@ -14,7 +14,7 @@ import pytest
 from conftest import mk, random_dag
 
 from vrsp import graph as graph_module
-from vrsp.cli import main
+from vrsp.cli import _load, main
 from vrsp.errors import GraphFormatError, InvalidGraphError
 from vrsp.graph import Arc, Graph, LabelPair, validate
 from vrsp.fixtures import fixture_path, load_family, load_graph
@@ -184,9 +184,12 @@ class TestEmitLargeProduct:
 class TestParseLargeProduct:
     # The whole decoded document would take about three texts.  Each arc's
     # JSON object becomes its Arc as it is decoded, so the document is never
-    # held: the unchecked parse peaks under two texts, and the check's
-    # adjacency takes the peak to well under 3.75.  The ends share the vertex
-    # strings, so the graph kept, with that adjacency, is under 2.25 texts.
+    # held, and the schema walk lets each decoded list go once it has
+    # replaced it: the unchecked parse peaks under 1.65 texts (a walk that
+    # kept the decoded vertex list would reach 1.75), and the check's
+    # adjacency takes the peak to well under 3.75.  The ends share the
+    # vertex strings, so the graph kept, with that adjacency, is under 2.25
+    # texts.
 
     def test_peak_memory_is_at_most_three_and_three_quarter_texts(self):
         text = emit_graph(large_product(223, ("u", "x")))
@@ -210,7 +213,22 @@ class TestParseLargeProduct:
         finally:
             tracemalloc.stop()
         assert len(g.arcs) == 5271
-        assert peak <= 2.0 * len(text)
+        assert peak <= 1.65 * len(text)
+
+    def test_cli_load_peak_memory_is_at_most_three_and_two_fifths_files(self, tmp_path):
+        # The file's bytes are decoded before the parse is called, so they
+        # go then instead of living on in the call's argument tuple.
+        path = tmp_path / "g.json"
+        path.write_text(emit_graph(large_product(223, ("u", "x"))), encoding="utf-8")
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            g = _load(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(g.arcs) == 5271
+        assert peak <= 3.4 * size
 
     @pytest.mark.parametrize(
         "parse", [parse_graph, lambda text: document_to_graph(json.loads(text))], ids=["text", "document"]
@@ -341,6 +359,7 @@ SCHEMA_ERRORS = {
     "arcs missing": (_doc(arcs=_DROP), "'arcs' must be list, got NoneType"),
     "arcs not a list": (_doc(arcs="e1"), "'arcs' must be list, got str"),
     "arc not an object": (_doc(_arc(), ["e2"]), "arc #2 must be a JSON object"),
+    "arc given as an Arc": (_doc(Arc("e1", "u", "v", LabelPair("a"))), "arc #1 must be a JSON object"),
     "unknown arc fields": (_doc(_arc(colour="red", z=0)), "arc #1: unknown fields ['colour', 'z']"),
     "missing arc fields": (
         _doc(_arc(), _arc(id="e2", head=_DROP, weight=_DROP)),
@@ -428,7 +447,8 @@ class TestSchemaErrorTexts:
             document_to_graph(doc, check=check)
         assert doc == before
         with pytest.raises(GraphFormatError) as text_error:
-            parse_graph(json.dumps(doc), check=check)
+            # An Arc is written as the JSON array of its fields, no object either.
+            parse_graph(json.dumps(doc, default=str), check=check)
         assert str(document_error.value) == str(text_error.value) == message
 
 

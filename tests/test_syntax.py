@@ -1,4 +1,4 @@
-"""The sources parse as the oldest Python that pyproject.toml admits."""
+"""The sources and the tests parse as the oldest Python that pyproject.toml admits."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "vrsp").glob("*.py"))
+SOURCES = sorted((ROOT / "src" / "vrsp").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 
 def test_pyproject_floor_is_the_one_checked():
