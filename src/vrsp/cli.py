@@ -9,10 +9,10 @@ an internal error (a bug in this program, not a fault of the input).
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Iterable
 
 from .decomposition import find_decompositions, prime_factors, verify_decomposition
@@ -76,49 +76,129 @@ def _labels_json(labels) -> list[dict]:
     return [{"action": l.action, "weight": weight_token(l.weight)} for l in labels]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# The seven commands, each with its help and its arguments in the order argparse
+# lists them.  An argument's key is its name, or its option strings separated by
+# spaces with the long one last; its value holds argparse's keyword arguments.
+_COMMANDS: dict[str, tuple[str, dict[str, dict]]] = {
+    "validate": ("check graph invariants, printing one diagnostic per line", {"graph": {}}),
+    "product": (
+        "compute a product of two graphs",
+        {
+            "--kind": {"choices": sorted(_PRODUCT_KINDS), "required": True},
+            "left": {},
+            "right": {},
+            "-o --output": {"help": "write the result here instead of stdout"},
+        },
+    ),
+    "contract": (
+        "contract a vertex set into one fresh vertex",
+        {
+            "graph": {},
+            "--set": {
+                "dest": "vertex_set",
+                "required": True,
+                "help": "comma-separated vertex ids, or a JSON array of ids",
+            },
+            "--id": {"dest": "new_id", "required": True, "help": "id of the replacement vertex"},
+            "-o --output": {},
+        },
+    ),
+    "iso": ("find a label-preserving isomorphism", {"left": {}, "right": {}}),
+    "verify": (
+        "verify a decomposition hypothesis",
+        {
+            "graph": {},
+            "--rows": {"required": True, "help": "row family file"},
+            "--cols": {"required": True, "help": "col family file"},
+        },
+    ),
+    "decompose": (
+        "search for Cartesian decompositions",
+        {
+            "graph": {},
+            "--recursive": {"action": "store_true", "help": "also split factors into prime factors"},
+            "--max-labels": {"type": int, "help": "label budget for the search"},
+            "--out-dir": {"help": "write factor graphs into this directory"},
+        },
+    ),
+    "dot": ("render a graph as Graphviz DOT", {"graph": {}}),
+}
+
+
+def _build_parser():
+    """The argparse parser of ``_COMMANDS``, which alone prints help and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(prog="vrsp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check graph invariants, printing one diagnostic per line")
-    p.add_argument("graph")
-
-    p = sub.add_parser("product", help="compute a product of two graphs")
-    p.add_argument("--kind", choices=sorted(_PRODUCT_KINDS), required=True)
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("-o", "--output", help="write the result here instead of stdout")
-
-    p = sub.add_parser("contract", help="contract a vertex set into one fresh vertex")
-    p.add_argument("graph")
-    p.add_argument(
-        "--set", dest="vertex_set", required=True, help="comma-separated vertex ids, or a JSON array of ids"
-    )
-    p.add_argument("--id", dest="new_id", required=True, help="id of the replacement vertex")
-    p.add_argument("-o", "--output")
-
-    p = sub.add_parser("iso", help="find a label-preserving isomorphism")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = sub.add_parser("verify", help="verify a decomposition hypothesis")
-    p.add_argument("graph")
-    p.add_argument("--rows", required=True, help="row family file")
-    p.add_argument("--cols", required=True, help="col family file")
-
-    p = sub.add_parser("decompose", help="search for Cartesian decompositions")
-    p.add_argument("graph")
-    p.add_argument("--recursive", action="store_true", help="also split factors into prime factors")
-    p.add_argument("--max-labels", type=int, default=None, help="label budget for the search")
-    p.add_argument("--out-dir", default=None, help="write factor graphs into this directory")
-
-    p = sub.add_parser("dot", help="render a graph as Graphviz DOT")
-    p.add_argument("graph")
-
+    for command, (summary, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for key, options in arguments.items():
+            p.add_argument(*key.split(), **options)
     return parser
 
 
-def _run(args: argparse.Namespace) -> int:
+def _match(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives for a plainly well-formed ``argv``, or None.
+
+    Accepted: an exact command name; exact option strings, or ``--long=value``,
+    each at most once; values and positionals that do not start with ``-``;
+    every positional and required option; a value within its choices and
+    passing its type.  Anything else, help and abbreviations included, is
+    left to argparse.
+    """
+    spec = _COMMANDS.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    values: dict = {"command": argv[0]}
+    positionals, options = [], {}
+    for key, kw in spec[1].items():
+        names = key.split()
+        dest = kw.get("dest", names[-1].lstrip("-").replace("-", "_"))
+        if names[0].startswith("-"):
+            values[dest] = False if kw.get("action") == "store_true" else None
+            options.update(dict.fromkeys(names, (dest, kw)))
+        else:
+            positionals.append(dest)
+    free = iter(positionals)
+    seen = set()
+    args = iter(argv[1:])
+    for arg in args:
+        if not arg.startswith("-"):
+            dest = next(free, None)
+            if dest is None:
+                return None
+            values[dest] = arg
+            continue
+        name, eq, value = arg.partition("=")
+        dest, kw = options.get(name, (None, None))
+        if dest is None or dest in seen or (eq and not name.startswith("--")):
+            return None
+        seen.add(dest)
+        if kw.get("action") == "store_true":
+            if eq:
+                return None
+            values[dest] = True
+            continue
+        if not eq:
+            value = next(args, "-")  # a missing value is declined as one that starts with "-"
+        if value.startswith("-"):
+            return None
+        try:
+            value = kw.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        values[dest] = value
+    if next(free, None) is not None:
+        return None
+    if any(kw.get("required") and dest not in seen for dest, kw in options.values()):
+        return None
+    return SimpleNamespace(**values)
+
+
+def _run(args) -> int:
     if args.command == "validate":
         g = _load(args.graph, check=False)
         diagnostics = validate(g)
@@ -188,11 +268,13 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:  # argparse exits 2 on usage errors, 0 on --help
-        return int(e.code or 0)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _match(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as e:  # argparse exits 2 on usage errors, 0 on --help
+            return int(e.code or 0)
     try:
         return _run(args)
     except (GraphError, OSError) as e:

@@ -311,7 +311,8 @@ def validate(g: Graph) -> list[Diagnostic]:
     graph is valid.
     """
     diags: list[Diagnostic] = []
-    vset = g.vertex_set
+    # The vertices, as the keys of the adjacency that the cycle check reads, so no vertex set is kept.
+    vset = g._adjacency[0]
 
     # Both are sorted by id, so a repeated id sits next to itself.  operator.eq,
     # not str.__eq__: a graph never checked may hold ids of any type.
@@ -337,7 +338,7 @@ def validate(g: Graph) -> list[Diagnostic]:
             continue
         sound_arcs.append(a)
 
-    # On g itself when every arc is sound, so that later queries reuse the adjacency this caches.
+    # On g itself when every arc is sound, reading the adjacency that later queries reuse.
     cycle = _find_cycle(g if len(sound_arcs) == len(g.arcs) else Graph(g.vertices, tuple(sound_arcs)))
     if cycle is not None:
         path = " -> ".join(cycle + [cycle[0]])

@@ -23,6 +23,9 @@ from vrsp.products import cartesian
 from vrsp.serialization import emit_graph, graph_to_document, parse_graph
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def fx(name: str) -> str:
     return str(fixture_path(name))
 
@@ -407,6 +410,207 @@ class TestStartup:
             timeout=60,
         )
         assert (proc.returncode, proc.stderr) == (0, "0 []\n")
+
+    def test_decompose_imports_no_argparse(self):
+        # A well-formed command line is read without argparse, which with
+        # gettext, locale and shutil would cost every `vrsp` process milliseconds.
+        child = (
+            "import sys, vrsp.cli\n"
+            f"code = vrsp.cli.main(['decompose', {fx('fig1.json')!r}])\n"
+            "print(code, sorted({'argparse', 'gettext', 'locale', 'shutil'} & set(sys.modules)), file=sys.stderr)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", child],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "0 []\n")
+
+
+class TestMainModule:
+    """``python -m vrsp.cli``, the entry point that the benchmark runs."""
+
+    def vrsp(self, *argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-m", "vrsp.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True,
+            timeout=60,
+        )
+
+    def test_help(self):
+        proc = self.vrsp("--help")
+        assert proc.returncode == 0 and proc.stdout.startswith(b"usage: vrsp")
+
+    def test_missing_graph_is_a_usage_error(self):
+        proc = self.vrsp("decompose")
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert b"vrsp decompose: error: the following arguments are required: graph" in proc.stderr
+
+    def test_decompose_stdout_is_golden(self):
+        proc = self.vrsp("decompose", fx("fig1.json"))
+        assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == GOLDEN["decompose", "fig1"]
+
+
+# Plainly well-formed command lines over placeholder paths, which the matcher
+# must read itself; the grammar corpus below is built from them.
+PLAIN = [
+    ["validate", "{g}"],
+    ["product", "--kind", "vrsp", "{g1}", "{g2}"],
+    ["product", "--kind", "cartesian", "{g1}", "{g2}", "-o", "{out}"],
+    ["contract", "{g}", "--set", "u1,u4,u7,u10", "--id", "y~1"],
+    ["contract", "{g}", "--set", '["u1","u4"]', "--id", "X", "--output", "{out}"],
+    ["iso", "{g1}", "{g2}"],
+    ["verify", "{g}", "--rows", "{rows}", "--cols", "{cols}"],
+    ["decompose", "{g}"],
+    ["decompose", "{g}", "--recursive", "--max-labels", "5", "--out-dir", "{dir}"],
+    ["dot", "{g}"],
+]
+
+# The command lines of the tests above, the fixture standing for any input file.
+EXISTING = [
+    [],
+    ["--help"],
+    ["validate", "{g}"],
+    ["product", "--kind", "vrsp", "{g1}", "{g2}"],
+    ["product", "--kind", "cartesian", "{g1}", "{g2}", "-o", "{out}"],
+    ["product", "--kind", "tensor", "{g}", "{g}"],
+    ["contract", "{g}", "--set", "u1,u4,u7,u10", "--id", "y~1"],
+    ["contract", "{g}", "--set", "u1,u4,u7,u10", "--id", "y~1", "-o", "{out}"],
+    ["contract", "{g}", "--set", "u,w", "--id", "~"],
+    ["contract", "{g}", "--set", '["(y~1,u5)","(y~1,u6)"]', "--id", "X"],
+    ["contract", "{g}", "--set", "[" * 100_000, "--id", "X"],
+    ["contract", "{g}", "--set", "a", "--id", "z", "-o", "{out}"],
+    ["iso", "{g1}", "{g2}"],
+    ["iso", "{g}", "{g}"],
+    ["verify", "{g}", "--rows", "{rows}", "--cols", "{cols}"],
+    ["decompose", "{g}"],
+    ["decompose", "{g}", "--recursive"],
+    ["decompose", "{g}", "--recursive", "--out-dir", "{dir}"],
+    ["decompose", "{g}", "--max-labels", "2"],
+    ["dot", "{g}"],
+]
+
+
+def _units(argv: list[str]) -> tuple[list[str], list[list[str]]]:
+    """The positionals of a plain command line, and its options each with its value."""
+    positionals, options, rest = [], [], iter(argv[1:])
+    for arg in rest:
+        if not arg.startswith("-"):
+            positionals.append(arg)
+        else:
+            options.append([arg] if arg == "--recursive" else [arg, next(rest)])
+    return positionals, options
+
+
+def _grammar_corpus() -> dict[tuple[str, ...], bool]:
+    """Command lines, each with whether the matcher must accept it."""
+    corpus: dict[tuple[str, ...], bool] = {}
+
+    def add(argv, plain=False):
+        corpus[tuple(argv)] = corpus.get(tuple(argv), False) or plain
+
+    for argv in EXISTING:
+        add(argv)
+    for argv in PLAIN:
+        add(argv, True)
+        command = argv[0]
+        positionals, options = _units(argv)
+        for i, group in enumerate(options):
+            others = [arg for other in options[:i] + options[i + 1 :] for arg in other]
+            for k in range(len(positionals) + 1):  # before, between and after the positionals
+                add([command, *positionals[:k], *group, *positionals[k:], *others], True)
+            if len(group) == 2:
+                name = "--output" if group[0] == "-o" else group[0]
+                add([command, *positionals, f"{name}={group[1]}", *others], True)
+                add([command, *positionals, group[0], *others])  # no value
+                add([command, *positionals, f"{group[0]}=-x", *others])
+            add([command, *positionals, *group, *others, *group])  # repeated
+            add([command, *positionals, *others])  # missing, if required
+        for k in range(len(argv) + 1):
+            for token in ("-h", "--help", "--", ""):
+                add([*argv[:k], token, *argv[k:]])
+        for k in range(1, len(argv)):
+            if not argv[k].startswith("-"):
+                for value in ("-5", "-x", "", "-x y"):
+                    add([*argv[:k], value, *argv[k + 1 :]])
+        for k in range(len(positionals)):
+            add([command, *positionals[:k], *positionals[k + 1 :], *(a for g in options for a in g)])
+        for extra in ("extra", "--nope", "--nope=1", "-z", "-"):
+            add([*argv, extra])
+        add([command])
+    for argv in (
+        ["decompose", "{g}", "--max", "2"],
+        ["decompose", "{g}", "--max=2"],
+        ["decompose", "{g}", "--rec"],
+        ["decompose", "{g}", "--recursive=1"],
+        ["decompose", "{g}", "--max-labels", "x"],
+        ["decompose", "{g}", "--max-labels", "1.5"],
+        ["decompose", "{g}", "--max-labels=-5"],
+        ["decompose", "{g}", "--max-labels", " 5"],
+        ["decompose", "{g}", "--max-labels="],
+        ["decompose", "{g}", "--out-dir="],
+        ["product", "--kind", "tensor", "{g1}", "{g2}"],
+        ["product", "--kind=", "{g1}", "{g2}"],
+        ["product", "--k", "vrsp", "{g1}", "{g2}"],
+        ["product", "--kind", "vrsp", "{g1}", "{g2}", "-o={out}"],
+        ["product", "--kind", "vrsp", "{g1}", "{g2}", "-o{out}"],
+        ["product", "--kind", "vrsp", "{g1}", "{g2}", "--out", "{out}"],
+        ["contract", "{g}", "--set=u1,u4=x", "--id=y"],
+        ["decom", "{g}"],
+        ["nope"],
+        [""],
+        ["-h"],
+        ["--", "decompose", "{g}"],
+    ):
+        add(argv)
+    return corpus
+
+
+GRAMMAR = _grammar_corpus()
+
+
+class TestGrammar:
+    """The matcher reads what argparse reads, and leaves the rest to it byte for byte."""
+
+    @staticmethod
+    def fill(template, tmp_path) -> list[str]:
+        """``template`` with each ``{name}`` replaced by its file, wherever it stands in an argument."""
+        paths = {
+            "g": fx("fig1.json"),
+            "g1": fx("fig2_g1.json"),
+            "g2": fx("fig2_g2.json"),
+            "rows": fx("fig1.rows"),
+            "cols": fx("fig1.cols"),
+            "out": str(tmp_path / "out.json"),
+            "dir": str(tmp_path / "dir"),
+        }
+        argv = list(template)
+        for name, path in paths.items():
+            argv = [arg.replace(f"{{{name}}}", path) for arg in argv]
+        return argv
+
+    @pytest.mark.parametrize("template", sorted(GRAMMAR), ids=lambda t: " ".join(t)[:80] or "<empty>")
+    def test_matcher_agrees_with_argparse(self, capsys, monkeypatch, tmp_path, template):
+        monkeypatch.chdir(tmp_path)  # argparse reads "-o -5" as an output file named "-5"
+        argv = self.fill(template, tmp_path)
+        matched = cli._match(argv)
+        if GRAMMAR[template]:
+            assert matched is not None
+        try:
+            parsed = vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            parsed = None
+        capsys.readouterr()
+        if matched is not None:
+            assert vars(matched) == parsed
+
+        fast = run(capsys, *argv)
+        monkeypatch.setattr(cli, "_match", lambda argv: None)
+        assert run(capsys, *argv) == fast
 
 
 class TestRobustness:

@@ -317,6 +317,13 @@ class TestValidate:
         g = Graph(("u", "v"), (Arc("e1", "u", "v", L("a")),)).check()
         assert "_adjacency" in g.__dict__
 
+    def test_checking_keeps_no_vertex_set(self):
+        # The adjacency's keys are the vertices; a second set of them would cost
+        # several MB on a large graph, which no caller of check asked for.
+        g = Graph(("u", "v", "w"), (Arc("e1", "u", "v", L("a")), Arc("e2", "v", "w", L("b")))).check()
+        assert "vertex_set" not in g.__dict__
+        assert g.vertex_set == {"u", "v", "w"}
+
     def test_build_graph_rejects_repeated_vertex_ids(self):
         with pytest.raises(InvalidGraphError, match="duplicate-vertex-id"):
             build_graph(["u", "u", "v"], [])
