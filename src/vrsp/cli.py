@@ -3,8 +3,9 @@
 Subcommands: validate, product, contract, iso, verify, decompose, dot.
 Exit codes: 0 for success or an accepting verdict, 1 for a negative verdict
 (invalid graph, not isomorphic, rejected or absent decomposition), 2 for
-unusable input (bad arguments, unreadable files, malformed documents), 3 for
-an internal error (a bug in this program, not a fault of the input).
+unusable input (bad arguments, unreadable files, malformed documents, an
+input too large for the memory at hand), 3 for an internal error (a bug in
+this program, not a fault of the input).
 """
 
 from __future__ import annotations
@@ -279,6 +280,9 @@ def main(argv: list[str] | None = None) -> int:
         return _run(args)
     except (GraphError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:  # an input too large for this machine, not a bug
+        print(f"error: out of memory while running vrsp {args.command}", file=sys.stderr)
         return 2
     except Exception as e:  # a bug, not bad input: report it apart from exit 2
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)

@@ -34,7 +34,7 @@ side is a union of those classes.
 from __future__ import annotations
 
 import os
-from itertools import combinations, product
+from itertools import combinations
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -470,21 +470,29 @@ def _resolve_label_budget(max_labels: int | None) -> int:
 def label_classes(g: Graph) -> list[tuple[LabelPair, ...]]:
     """Group the labels of ``g`` that every accepted bipartition keeps on one side.
 
-    Two arcs with labels a != b that meet at a vertex v are united unless
-    some vertex y != v closes a square with them whose opposite sides carry
-    the same labels; parallel arcs with different labels are always united.
-    In a Cartesian product every pair of arcs from different factors that
-    meet at a vertex has such a square, and parallel arcs come from one
-    factor, so each side of an accepted bipartition is a union of classes.
-    Classes are returned sorted, each sorted.
+    One square rule decides: two arcs e and f that meet at a vertex v, with
+    labels a != b and far ends w and z, are united unless some vertex y != v
+    closes the square w, y, z, with an arc labelled b between w and y that
+    runs as f runs at v, and one labelled a between z and y that runs as e
+    runs at v.  Parallel arcs (w == z) close no square, so they are always
+    united.  In a Cartesian product every pair of arcs from different
+    factors that meet at a vertex has such a square, and parallel arcs come
+    from one factor, so each side of an accepted bipartition is a union of
+    classes.  Classes are returned sorted, each sorted.
 
-    A square is looked for from the arcs of one of its corners w, which the
-    graph's adjacency (kept by ``check``) lists, for a far corner y != v
-    joined to the other corner z by an arc of the right label; a set of
-    every arc's (tail, head, label) answers that in one lookup, so no
-    per-label table is built.  The scan is linear in the degree of w.  A
-    dict holds each label's class id; a union relabels one of the two
-    classes, which costs O(L) for L labels, at most L - 1 times.
+    ``g`` is read as a checked graph.  On one that fails ``check`` the
+    classes are not specified, and an arc end that is not a vertex may
+    raise ``KeyError``.
+
+    Each pair is taken once from v's in-arcs followed by its out-arcs, and
+    its square is looked for among w's arcs that run as f does, which the
+    graph's adjacency (kept by ``check``) lists; a set of every arc's
+    (tail, head, label) then finds the side at z in one lookup, so no
+    per-label table is built.  With the in-arcs first, a pair of an in-arc
+    and an out-arc scans the out-arcs at the in-arc's tail.  The scan is
+    linear in the degree of w.  A dict holds each label's class id; a union
+    relabels one of the two classes, which costs O(L) for L labels, at most
+    L - 1 times.
     """
     out, inc = g._adjacency
     ends = {(a.tail, a.head, a.label) for a in g.arcs}
@@ -502,40 +510,20 @@ def label_classes(g: Graph) -> list[tuple[LabelPair, ...]]:
     for v in g.vertices:
         if n_classes <= 1:
             break
-        outs, ins = out[v], inc[v]
-        # Arcs labelled a and b at v that reach w and z need an arc labelled
-        # b at w and one labelled a at z that meet at some y != v:
-        #   in/out: w -> v (a), v -> z (b); the square is w -> y (b), y -> z (a);
-        #   out/out: v -> w (a), v -> z (b); the square is w -> y (b), z -> y (a);
-        #   in/in: w -> v (a), z -> v (b); the square is y -> w (b), y -> z (a).
-        for e, f in product(ins, outs):
+        # The square of e (label a, far end w) and f (label b, far end z):
+        # an arc labelled b between w and y that runs as f does, and one
+        # labelled a between z and y that runs as e does, for some y != v.
+        for e, f in combinations(inc[v] + out[v], 2):
             a, b = e.label, f.label
             kept, merged = class_of[a], class_of[b]
             if kept != merged:
-                w, z = e.tail, f.head
-                for x in out[w] if w != z else ():
-                    if x.label is b and x.head != v and (x.head, z, a) in ends:
-                        break
-                else:
-                    unite(kept, merged)
-        for e, f in combinations(outs, 2):
-            a, b = e.label, f.label
-            kept, merged = class_of[a], class_of[b]
-            if kept != merged:
-                w, z = e.head, f.head
-                for x in out[w] if w != z else ():
-                    if x.label is b and x.head != v and (z, x.head, a) in ends:
-                        break
-                else:
-                    unite(kept, merged)
-        for e, f in combinations(ins, 2):
-            a, b = e.label, f.label
-            kept, merged = class_of[a], class_of[b]
-            if kept != merged:
-                w, z = e.tail, f.tail
-                for x in inc[w] if w != z else ():
-                    if x.label is b and x.tail != v and (x.tail, z, a) in ends:
-                        break
+                e_out, f_out = e.tail == v, f.tail == v
+                w, z = (e.head if e_out else e.tail), (f.head if f_out else f.tail)
+                for x in (out[w] if f_out else inc[w]) if w != z else ():
+                    if x.label is b:
+                        y = x.head if f_out else x.tail
+                        if y != v and ((z, y, a) if e_out else (y, z, a)) in ends:
+                            break
                 else:
                     unite(kept, merged)
 

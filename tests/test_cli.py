@@ -55,7 +55,8 @@ class TestValidate:
         bad = tmp_path / "bad.json"
         bad.write_text("{")
         code, _, err = run(capsys, "validate", str(bad))
-        assert code == 2 and err
+        assert code == 2
+        assert err == f"error: {bad}: malformed JSON at line 1 column 2: Expecting property name enclosed in double quotes\n"
 
     def test_json_too_deeply_nested_to_decode_is_input_error(self, capsys, tmp_path):
         deep = tmp_path / "deep.json"
@@ -629,6 +630,34 @@ class TestRobustness:
         path.write_text('{"vertices": ["u", "v"], "arcs": []}')
         code, _, err = run(capsys, "decompose", str(path))
         assert code == 2 and "connected" in err
+        assert err == "error: decomposition needs a non-empty weakly connected graph\n"
+
+    def test_out_of_memory_is_input_error(self, tmp_path):
+        # One child, limited to 256 MiB of address space, builds the product
+        # of two 1001-vertex paths: a million vertices, over a gigabyte.
+        resource = pytest.importorskip("resource")
+        paths = []
+        for name in ("left", "right"):
+            vertices = [f"{name}{i}" for i in range(1001)]
+            arcs = [
+                {"id": f"e{i}", "tail": vertices[i], "head": vertices[i + 1], "action": name, "weight": "1"}
+                for i in range(1000)
+            ]
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps({"vertices": vertices, "arcs": arcs}), encoding="utf-8")
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "vrsp.cli", "product", "--kind", "cartesian", *map(str, paths)],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True,
+            timeout=120,
+            preexec_fn=limit_memory,
+        )
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == b"error: out of memory while running vrsp product\n"
 
     def test_repeated_vertex_id_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "twice.json"

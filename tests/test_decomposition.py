@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 from collections import Counter
 from functools import reduce
@@ -147,6 +148,36 @@ class TestVerify:
         assert verify_decomposition(fig1, fig1_rows, fig1_cols).accepted
         rows = [induced_subgraph(fig1, s) for s in fig1_rows.sets]
         assert calls == [(rows[0], rows[1]), (fig1, products[0])]
+
+    def test_final_rejected_after_the_conditions_pass(self, monkeypatch, fig1, fig1_rows, fig1_cols):
+        # The seam above, with a matcher that finds no map from fig1 onto the
+        # renamed product: C1-C7 pass, and FINAL alone rejects.
+        products = []
+
+        def renamed_vrsp(g1, g2):
+            products.append(rename_graph(random.Random(5), vrsp(g1, g2)))
+            return products[-1]
+
+        def missing_row_2(vertices, arcs, coord, _real=decomposition._coordinate_view):
+            return None if vertices == fig1_rows.sets[1] else _real(vertices, arcs, coord)
+
+        def no_product_map(g1, g2):
+            return None if products and g2 is products[-1] else find_isomorphism(g1, g2)
+
+        monkeypatch.setattr(decomposition, "vrsp", renamed_vrsp)
+        monkeypatch.setattr(decomposition, "_coordinate_view", missing_row_2)
+        monkeypatch.setattr(decomposition, "find_isomorphism", no_product_map)
+        report = verify_decomposition(fig1, fig1_rows, fig1_cols)
+        assert report.accepted is False and report.factors is None and len(products) == 1
+        assert report.failed_codes() == ["FINAL"]
+        assert report.conditions["FINAL"].witness == "graph is not isomorphic to the product of the quotients"
+        passed = '{"passed": true, "witness": ""}'
+        assert json.dumps(report.as_dict()) == (
+            '{"accepted": false, "family_sizes": [3, 4], "conditions": {'
+            + ", ".join(f'"C{k}": {passed}' for k in range(1, 8))
+            + ', "FINAL": {"passed": false, "witness": "graph is not isomorphic to the product of the quotients"}}'
+            + ', "factors": null}'
+        )
 
     def test_accepted_grid_builds_only_the_quotients(self, monkeypatch):
         # The coordinate witnesses answer every question of an accepted 20x20
@@ -538,6 +569,17 @@ class TestLabelClasses:
     def test_fixtures(self, fig1, fig3):
         assert label_classes(fig1) == [(L("a"),), (L("b"), L("c"))]
         assert label_classes(fig3) == [(L("a"), L("b"), L("c"))]
+
+    def test_a_self_loop_shares_its_label_with_the_arcs_it_meets(self):
+        # label_classes reads checked graphs.  On this unchecked one, a loop
+        # at the corner of a square closes no square with the corner's arcs.
+        g = cartesian(path_graph(["a"], "y"), path_graph(["b"], "x"))
+        corner = g.vertices[0]
+        for label, classes in ((L("a"), [(L("a"), L("b"))]), (L("c"), [(L("a"), L("b"), L("c"))])):
+            looped = Graph(g.vertices, g.arcs + (Arc("loop", corner, corner, label),))
+            with pytest.raises(InvalidGraphError):
+                looped.check()
+            assert label_classes(looped) == classes
 
     def test_classes_that_collapse_within_the_first_vertices(self):
         # Parallel arcs out of the first vertex unite every label at once, so

@@ -137,6 +137,8 @@ class TestVertexFamily:
     def test_check_against(self, fig1):
         with pytest.raises(UnknownVertexError):
             VertexFamily.of([{"u1", "nope"}]).check_against(fig1)
+        fam = VertexFamily.of([{"u1", "u2"}, {"u3"}])
+        assert fam.check_against(fig1) is fam and len(fam) == 2
 
 
 class TestContractFamily:
