@@ -208,8 +208,14 @@ def _run(args) -> int:
         return 1 if diagnostics else 0
 
     if args.command == "product":
-        g = _PRODUCT_KINDS[args.kind](_load(args.left), _load(args.right))
-        _write_or_print(emit_graph(g), args.output)
+        left, right = _load(args.left), _load(args.right)
+        n1, n2 = len(left.vertices), len(right.vertices)
+        # Formatted before the build: the failed build's frames are still held while its error is handled.
+        size = f"{n1} × {n2} = {n1 * n2} pairs"
+        try:
+            _write_or_print(emit_graph(_PRODUCT_KINDS[args.kind](left, right)), args.output)
+        except MemoryError:
+            raise MemoryError(size) from None
         return 0
 
     if args.command == "contract":
@@ -281,8 +287,9 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except MemoryError:  # an input too large for this machine, not a bug
-        print(f"error: out of memory while running vrsp {args.command}", file=sys.stderr)
+    except MemoryError as e:  # an input too large for this machine, not a bug
+        detail = f" ({e})" if e.args else ""
+        print(f"error: out of memory while running vrsp {args.command}{detail}", file=sys.stderr)
         return 2
     except Exception as e:  # a bug, not bad input: report it apart from exit 2
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)

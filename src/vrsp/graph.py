@@ -25,7 +25,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property, partial, total_ordering
+from functools import cached_property, total_ordering
 from itertools import islice
 from operator import eq
 from typing import Container, Iterable, NamedTuple
@@ -173,8 +173,9 @@ class Arc(NamedTuple):
     label: LabelPair
 
 
-# An arc from its (id, tail, head, label) tuple, as ``Arc._make`` but without Python-level code.
-_arc = partial(tuple.__new__, Arc)
+# ``_new_arc(Arc, (id, tail, head, label))`` is the arc with those fields: as
+# ``Arc._make``, but one call of a builtin, with no Python-level code.
+_new_arc = tuple.__new__
 
 
 class Diagnostic(_Record):

@@ -20,10 +20,12 @@ in one pass over its arcs, with vertices as integer positions (see
 the arc comprehensions all read that index, not the factors' arcs.  The
 reached pairs are found by a forward search on coordinate pairs, taking
 the first factor's vertices in any topological order, before any arc is
-built, so only the names and arcs of surviving pairs are ever made.  The
-search builds no adjacency and no order on a factor, so a product fed back
-in as a factor, as in ``vrsp(vrsp(a, b), c)``, costs the builder one pass
-over its arcs.
+built.  It returns the reached pairs row by row, and only those pairs are
+named and only their arcs made.  The search builds no adjacency and no
+order on a factor, so a product fed back in as a factor, as in
+``vrsp(vrsp(a, b), c)``, costs the builder one pass over its arcs.  The
+arcs are made in nearly the order of their ids, which is the order the
+result keeps, so that ``Graph``'s sort finds them in long runs.
 Each product validates its factors on entry (a graph is validated at most
 once); products of valid factors are valid by construction, and are
 returned marked valid, so only clashes of the generated names are checked.
@@ -41,11 +43,10 @@ diagonals with both source arc ids).
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import product, repeat
 from typing import Collection, Literal
 
 from .errors import EmptyFactorError, GraphError
-from .graph import Arc, Graph, LabelPair, _arc, _valid_by_construction, label_set
+from .graph import Arc, Graph, LabelPair, _new_arc, _valid_by_construction, label_set
 
 __all__ = [
     "ArcClass",
@@ -88,10 +89,16 @@ def _product(g1: Graph, g2: Graph, shared: Collection[LabelPair], reached_only: 
     Each factor is indexed once (see :func:`_index`); the name clash check,
     :func:`_reachable` and the arc comprehensions all read those indexes.
     Pairs are numbered i*|V2| + j for (V1[i], V2[j]).  With
-    ``reached_only``, only the pairs that :func:`_reachable` marks are
-    built, with their outgoing arcs, whose heads are marked too.  The name
-    clash check is decided on the factor ids, so it still covers every
-    pair and every arc, kept or not.
+    ``reached_only``, only the pairs that :func:`_reachable` returns, row
+    by row, are named, and only their outgoing arcs made, whose heads it
+    returns too; otherwise every row is whole.  The name clash check is
+    decided on the factor ids, so it still covers every pair and every
+    arc, kept or not.
+
+    Names are made in the order of their coordinates, and copies in that of
+    their ids except where one factor arc id is an "@"-prefix of another
+    (see :func:`_index`).  That is nearly the order ``Graph`` keeps: its
+    sort mends the rest, such as "(a+,x)" made after "(a,x)".
     """
     v1, v2 = g1.vertices, g2.vertices
     index1, index2 = _index(g1, shared), _index(g2, shared)
@@ -109,27 +116,32 @@ def _product(g1: Graph, g2: Graph, shared: Collection[LabelPair], reached_only: 
     ):
         raise GraphError("factor vertex or arc ids collide under pair naming")
 
-    n2 = len(v2)
-    # names[p]: the name of pair p, or None for a pair not kept.  Only tails
-    # need a test; column t of the pairs is names[t::n2], row r names[r * n2:r * n2 + n2].
-    kept = _reachable(index1, index2, len(v1), n2) if reached_only else repeat(1)
-    names = [pair_vertex(u, x) if k else None for (u, x), k in zip(product(v1, v2), kept)]
+    n1, n2 = len(v1), len(v2)
+    rows = _reachable(index1, index2, n1, n2) if reached_only else [range(n2)] * n1
+    # names[p]: the name of pair p, or None for a pair not kept.  The L copies
+    # of an arc run along the kept pairs of its tail's row; the R copies and
+    # the diagonals test their tails, column t of the pairs being names[t::n2].
+    # A kept pair's heads are kept too.
+    names: list[str | None] = [None] * (n1 * n2)
+    for base, u, row in zip(range(0, n1 * n2, n2), v1, rows):
+        for x in row:
+            names[base + x] = pair_vertex(u, v2[x])
     # Each kind of product arc is one comprehension, and the kinds come in
-    # id order (L < R < S), so Graph's sort meets long runs.
+    # id order (L < R < S).
     arcs = [
-        _arc((f"L:{id_}@{x}", name, head_name, label))
+        _new_arc(Arc, (f"L:{id_}@{v2[x]}", names[t0 + x], names[h0 + x], label))
         for id_, t, h, label in private1
-        for x, name, head_name in zip(v2, names[t * n2 : t * n2 + n2], names[h * n2 : h * n2 + n2])
-        if name
+        for t0, h0 in ((t * n2, h * n2),)  # the first pairs of the tail's and the head's rows
+        for x in rows[t]
     ]
     arcs += [
-        _arc((f"R:{id_}@{u}", name, head_name, label))
+        _new_arc(Arc, (f"R:{id_}@{u}", name, head_name, label))
         for id_, t, h, label in private2
         for u, name, head_name in zip(v1, names[t::n2], names[h::n2])
         if name
     ]
     arcs += [
-        _arc((f"S:{id_}*{id2}", name, names[h * n2 + h2], label))
+        _new_arc(Arc, (f"S:{id_}*{id2}", name, names[h * n2 + h2], label))
         for label, arcs1 in shared1.items()
         for id_, t, h in arcs1
         for id2, t2, h2 in shared2.get(label, ())
@@ -140,8 +152,14 @@ def _product(g1: Graph, g2: Graph, shared: Collection[LabelPair], reached_only: 
 
 def _index(g: Graph, shared: Collection[LabelPair]) -> tuple[list, dict]:
     """``g``'s arcs in one pass, ends as positions in ``g.vertices``: the
-    private ones as (id, tail, head, label), in id order, and the shared
-    ones as (id, tail, head) per label."""
+    private ones as (id, tail, head, label), and the shared ones as
+    (id, tail, head) per label, in id order.
+
+    The private arcs are ordered by ``id + "@"``, the order of the ids
+    "L:id@x" or "R:id@u" of their copies at one vertex.  It differs from id
+    order only where one id is a prefix of another ("e1@" sorts after
+    "e10@").
+    """
     pos = {v: i for i, v in enumerate(g.vertices)}
     private = []
     by_label: dict[LabelPair, list[tuple[str, int, int]]] = defaultdict(list)
@@ -150,6 +168,7 @@ def _index(g: Graph, shared: Collection[LabelPair]) -> tuple[list, dict]:
             by_label[label].append((id_, pos[tail], pos[head]))
         else:
             private.append((id_, pos[tail], pos[head], label))
+    private.sort(key=lambda arc: arc[0] + "@")
     return private, by_label
 
 
@@ -164,6 +183,8 @@ def _joins_clash(left: dict[str, object], right: dict[str, object], sep: str) ->
     prefix s and an id of ``right``, and to look for an s, with the keys of
     both pairs, that both sides produce.
     """
+    if sep not in "".join(right):  # no r holds sep, which every clash needs
+        return False
     suffixes = set()
     for l2, k2 in left.items():
         i = l2.find(sep)
@@ -184,9 +205,9 @@ def _joins_clash(left: dict[str, object], right: dict[str, object], sep: str) ->
     return False
 
 
-def _reachable(index1: tuple[list, dict], index2: tuple[list, dict], n1: int, n2: int) -> bytearray:
-    """Per pair, numbered as in :func:`_product`, 1 if the intermediate product
-    reaches it from a pair of sources, else 0.
+def _reachable(index1: tuple[list, dict], index2: tuple[list, dict], n1: int, n2: int) -> list[list[int]]:
+    """Per position u in g1, the positions x in g2, in increasing order, of the
+    pairs (u, x) that the intermediate product reaches from a pair of sources.
 
     The arcs out of (u, x) are the private arcs out of u and out of x, and
     per shared label l the l-arcs out of u times the l-arcs out of x, so the
@@ -215,7 +236,6 @@ def _reachable(index1: tuple[list, dict], index2: tuple[list, dict], n1: int, n2
     start = closed({x for x in range(n2) if not indeg2[x]})
     for i in ready:
         rows[i] |= start
-    reached = bytearray(n1 * n2)
     while ready:
         i = ready.pop()
         row = rows[i]
@@ -230,10 +250,7 @@ def _reachable(index1: tuple[list, dict], index2: tuple[list, dict], n1: int, n2
                 indeg1[h] -= 1
                 if not indeg1[h]:
                     ready.append(h)
-        base = i * n2
-        for x in row:
-            reached[base + x] = 1
-    return reached
+    return [sorted(row) for row in rows]
 
 
 def _successors(index: tuple[list, dict], n: int) -> tuple[list, list, list]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import CycleCreatedError, GraphError, UnknownVertexError
-from .graph import Arc, Graph, LabelPair, _arc, _connected_by_construction, _find_cycle, _Record, _valid_by_construction
+from .graph import Arc, Graph, LabelPair, _connected_by_construction, _find_cycle, _new_arc, _Record, _valid_by_construction
 
 __all__ = ["VertexFamily", "contract", "contract_family"]
 
@@ -77,7 +77,7 @@ def _quotient(g: Graph, image: dict[str, str], arcs: Iterable[Arc]) -> Graph:
         tail, head = a.tail if tail is None else tail, a.head if head is None else head
         key = (tail, head, a.label)
         if tail != head and key not in redirected:
-            redirected[key] = _arc((a.id, tail, head, a.label))
+            redirected[key] = _new_arc(Arc, (a.id, tail, head, a.label))
 
     vertices = g.vertex_set.difference(image).union(image.values())
     q = Graph(tuple(vertices), tuple(kept + list(redirected.values())))

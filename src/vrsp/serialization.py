@@ -45,7 +45,7 @@ from json.encoder import encode_basestring
 from typing import Callable, Iterable
 
 from .errors import GraphError, GraphFormatError
-from .graph import Arc, Graph, LabelPair, _arc
+from .graph import Arc, Graph, LabelPair, _new_arc
 from .quotient import VertexFamily
 
 __all__ = [
@@ -160,7 +160,7 @@ def _arc_reader(labels: dict[object, LabelPair], end: Callable[[str, str], str])
                 label = labels[key] = LabelPair(action, parse_weight(token))
             except GraphFormatError:
                 return entry
-        return _arc((arc_id, end(tail, tail), end(head, head), label))
+        return _new_arc(Arc, (arc_id, end(tail, tail), end(head, head), label))
 
     return read
 

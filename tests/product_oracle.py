@@ -123,3 +123,22 @@ def decomposition_sides(vertices, arcs) -> set[tuple]:
         in_rows = {label for tail, head, label in arcs if row_of[tail] == row_of[head]}
         sides.add(tuple(sorted(in_rows if min(labels) in in_rows else labels - in_rows)))
     return sides
+
+
+def prime_factors(vertices, arcs) -> list[tuple[list, list]]:
+    """The factors of the graph that are products of nothing smaller, by splitting it at its first product system, recursively.
+
+    A product system's factors are one row and one col: the row's arcs
+    with each end numbered by its col, and the col's arcs with each end
+    numbered by its row.  By unique prime factorisation any system gives
+    the same primes up to isomorphism, so the first one found will do.
+    """
+    system = next(product_systems(vertices, arcs), None)
+    if system is None:
+        return [(list(vertices), list(arcs))]
+    rows, cols = system
+    row_of = {v: i for i, s in enumerate(rows) for v in s}
+    col_of = {v: j for j, s in enumerate(cols) for v in s}
+    row = [(col_of[tail], col_of[head], label) for tail, head, label in arcs if row_of[tail] == row_of[head] == 0]
+    col = [(row_of[tail], row_of[head], label) for tail, head, label in arcs if col_of[tail] == col_of[head] == 0]
+    return prime_factors(range(len(cols)), row) + prime_factors(range(len(rows)), col)

@@ -632,10 +632,25 @@ class TestRobustness:
         assert code == 2 and "connected" in err
         assert err == "error: decomposition needs a non-empty weakly connected graph\n"
 
+    @staticmethod
+    def run_with_memory_limit(mib: int, *argv: str) -> subprocess.CompletedProcess:
+        """``python -m vrsp.cli *argv`` as one child limited to ``mib`` MiB of address space."""
+        resource = pytest.importorskip("resource")
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (mib << 20, mib << 20))
+
+        return subprocess.run(
+            [sys.executable, "-m", "vrsp.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=SRC, PYTHONIOENCODING="utf-8"),
+            capture_output=True,
+            timeout=120,
+            preexec_fn=limit_memory,
+        )
+
     def test_out_of_memory_is_input_error(self, tmp_path):
         # One child, limited to 256 MiB of address space, builds the product
         # of two 1001-vertex paths: a million vertices, over a gigabyte.
-        resource = pytest.importorskip("resource")
         paths = []
         for name in ("left", "right"):
             vertices = [f"{name}{i}" for i in range(1001)]
@@ -646,18 +661,27 @@ class TestRobustness:
             paths.append(tmp_path / f"{name}.json")
             paths[-1].write_text(json.dumps({"vertices": vertices, "arcs": arcs}), encoding="utf-8")
 
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "vrsp.cli", "product", "--kind", "cartesian", *map(str, paths)],
-            env=dict(os.environ, PYTHONPATH=SRC),
-            capture_output=True,
-            timeout=120,
-            preexec_fn=limit_memory,
-        )
+        proc = self.run_with_memory_limit(256, "product", "--kind", "cartesian", *map(str, paths))
         assert (proc.returncode, proc.stdout) == (2, b"")
-        assert proc.stderr == b"error: out of memory while running vrsp product\n"
+        assert proc.stderr == "error: out of memory while running vrsp product (1001 × 1001 = 1002001 pairs)\n".encode()
+
+    def test_decompose_out_of_memory_is_input_error(self, tmp_path):
+        # One child, limited to 64 MiB of address space, decomposes a 300x300
+        # grid, which takes about 110 MiB; start-up takes about 20 MiB.
+        n = 300
+        vertices = [f"v{i}.{j}" for i in range(n) for j in range(n)]
+        arcs = [
+            {"id": f"{d}{i}.{j}", "tail": f"v{i}.{j}", "head": f"v{i + di}.{j + dj}", "action": d, "weight": "1"}
+            for d, di, dj in (("h", 0, 1), ("v", 1, 0))
+            for i in range(n - di)
+            for j in range(n - dj)
+        ]
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"vertices": vertices, "arcs": arcs}), encoding="utf-8")
+
+        proc = self.run_with_memory_limit(64, "decompose", str(path))
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == b"error: out of memory while running vrsp decompose\n"
 
     def test_repeated_vertex_id_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "twice.json"

@@ -13,10 +13,12 @@ from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 
+import pytest
 from conftest import nx_weak_components, random_dag, random_factor, random_interval_family
-from product_oracle import decomposition_sides, is_product_system, product_systems
+from product_oracle import decomposition_sides, is_product_system, prime_factors, product_systems
 
-from vrsp import cartesian, find_decompositions, verify_decomposition
+from vrsp import cartesian, decomposition, find_decompositions, verify_decomposition
+from vrsp.decomposition import CONDITION_CODES
 from vrsp.graph import Arc, Graph, build_graph
 
 
@@ -135,3 +137,61 @@ def test_the_verifier_accepts_exactly_the_product_systems():
             assert verify_decomposition(g, rows, cols).accepted == expected, (g, rows, cols)
             seen[expected] += 1
     assert seen[True] >= 300 and seen[False] >= 1000, seen
+
+
+def test_the_primes_are_the_definitions():
+    nx = pytest.importorskip("networkx")
+
+    def to_nx(vertices, arcs):
+        h = nx.MultiDiGraph()
+        h.add_nodes_from(vertices)
+        for tail, head, label in arcs:
+            h.add_edge(tail, head, label=label)
+        return h
+
+    def same_arcs(between1, between2) -> bool:
+        # The arcs from one vertex to another, as multisets of labels.
+        return Counter(a["label"] for a in between1.values()) == Counter(a["label"] for a in between2.values())
+
+    def isomorphic(h1, h2) -> bool:
+        return nx.is_isomorphic(h1, h2, edge_match=same_arcs)
+
+    seen = Counter()
+    for g in corpus():
+        expected = [to_nx(*f) for f in prime_factors(*plain(g))]
+        found = [to_nx(*plain(f)) for f in decomposition.prime_factors(g)]
+        assert len(found) == len(expected), g
+        # Isomorphism is an equivalence, so matching each prime to any unused equal one is enough.
+        for h in expected:
+            match = next((k for k, f in enumerate(found) if isomorphic(h, f)), None)
+            assert match is not None, g
+            del found[match]
+        seen[len(expected)] += 1
+    # Primes, and products of two and of three primes, all occur.
+    assert all(seen[k] >= 10 for k in (1, 2, 3)), seen
+
+
+def test_no_split_passes_the_conditions_unless_it_is_a_product(monkeypatch):
+    # Every split the search verifies, and how it fared.
+    verified = []
+    real = decomposition._verify
+
+    def spy(g, row_of, col_of):
+        report = real(g, row_of, col_of)
+        verified.append((g, row_of, col_of, report))
+        return report
+
+    monkeypatch.setattr(decomposition, "_verify", spy)
+    for g in corpus():
+        find_decompositions(g)
+    passed = not_products = 0
+    for g, row_of, col_of, report in verified:
+        if all(report.conditions[c].passed for c in CONDITION_CODES):
+            rows, cols = ({}, {})
+            for v in g.vertices:
+                rows.setdefault(row_of[v], []).append(v)
+                cols.setdefault(col_of[v], []).append(v)
+            passed += 1
+            not_products += not is_product_system(*plain(g), list(rows.values()), list(cols.values()))
+    assert not_products == 0
+    assert passed >= 100 and len(verified) - passed >= 10, (passed, len(verified))

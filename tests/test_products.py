@@ -333,11 +333,11 @@ class TestAgainstOracle:
     def test_vrsp_builds_only_the_arcs_it_returns(self, monkeypatch):
         built = []
 
-        def counted(fields):
-            built.append(Arc(*fields))
+        def counted(cls, fields):
+            built.append(cls(*fields))
             return built[-1]
 
-        monkeypatch.setattr(products, "_arc", counted)
+        monkeypatch.setattr(products, "_new_arc", counted)
         removed = Counter()
         # The nested pairs' first factors are built here too, before each count starts.
         nested = (("nested", vrsp(a, b), c) for a, b, c in compose_triples())
@@ -558,6 +558,53 @@ def separator_factor(rng: random.Random) -> Graph:
             i, j = sorted(rng.sample(range(len(vertices)), 2))
             arcs.append(Arc(arc_id, vertices[i], vertices[j], L(rng.choice("pq"))))
     return build_graph(vertices, arcs)
+
+
+def misordered_factor(rng: random.Random, actions: str) -> Graph:
+    """A random DAG whose ids put its products' names out of the order they are made in.
+
+    Arc ids are "@"-prefixes of one another: "e1@" sorts after "e10@", and
+    "L:e1@a" after "L:e1@2@a".  Vertex ids hold "," or "+", which sorts
+    below it: "a" < "a+" but "(a+,x)" < "(a,x)".  Some pairs of them name
+    one product vertex or arc ("(a,b,a)", "L:e1@2@a").
+    """
+    vertices = rng.sample(("a", "a+", "a,b", "b", "b,a", "2@a"), rng.randint(2, 5))
+    arcs = []
+    for arc_id in rng.sample(("e1", "e10", "e1@2", "e1@2@a", "e2"), rng.randint(1, 5)):
+        i, j = sorted(rng.sample(range(len(vertices)), 2))
+        arcs.append(Arc(arc_id, vertices[i], vertices[j], L(rng.choice(actions))))
+    return build_graph(vertices, arcs)
+
+
+class TestGenerationOrder:
+    """Products whose names come out of canonical order as they are made."""
+
+    def test_products_equal_the_oracle(self, monkeypatch):
+        made_unsorted = Counter()
+        real = products.Graph
+
+        def spy(vertices, arcs):
+            made_unsorted["vertices"] += list(vertices) != sorted(vertices)
+            made_unsorted["arcs"] += list(arcs) != sorted(arcs)
+            return real(vertices, arcs)
+
+        monkeypatch.setattr(products, "Graph", spy)
+        rng = random.Random(89)
+        outcomes = Counter()
+        for _ in range(400):
+            g1, g2 = misordered_factor(rng, "pq"), misordered_factor(rng, "qr")
+            for op, oracle in ORACLES.items():
+                try:
+                    expected = oracle(g1, g2)
+                except GraphError:
+                    with pytest.raises(GraphError, match="collide"):
+                        op(g1, g2)
+                    outcomes[op.__name__, "clash"] += 1
+                else:
+                    assert op(g1, g2) == expected
+                    outcomes[op.__name__, "equal"] += 1
+        assert made_unsorted["vertices"] > 100 and made_unsorted["arcs"] > 100, made_unsorted
+        assert min(outcomes.values()) > 100 and len(outcomes) == 6, outcomes
 
 
 class TestClashRule:
